@@ -1,4 +1,4 @@
-//! Pipeline benchmarks: fused single-pass compile vs. the legacy
+//! Compile-pipeline benchmarks: fused single-pass compile vs. the legacy
 //! two-pass flow, and `compile_batch` throughput at 1/2/4 threads over
 //! the Table-1 generator mix.
 //!
@@ -14,7 +14,7 @@ use na_arch::{HardwareParams, Lattice, Site};
 use na_circuit::generators::{Qaoa, Qft};
 use na_circuit::Circuit;
 use na_mapper::{HybridMapper, MapperConfig};
-use na_pipeline::{Compiler, MappingOptions, Pipeline};
+use na_pipeline::{Compiler, MappingOptions};
 use na_schedule::aod_program::{lower_batch, validate_program};
 use na_schedule::{AodProgram, ScheduleMetrics, ScheduledItem, Scheduler};
 
@@ -28,16 +28,8 @@ fn small_mixed() -> HardwareParams {
         .expect("valid")
 }
 
-/// Legacy construction path (the deprecated shim), kept measurable so
-/// `BENCH_pipeline.json` records the builder-vs-legacy construction
-/// overhead.
-#[allow(deprecated)]
-fn legacy_pipeline(params: &HardwareParams, config: MapperConfig) -> Pipeline {
-    Pipeline::new(params.clone(), config).expect("valid")
-}
-
-/// The redesigned construction path: a `Compiler` session built for the
-/// square-lattice target with the same configuration.
+/// A `Compiler` session built for the square-lattice target with the
+/// given configuration.
 fn builder_compiler(params: &HardwareParams, config: MapperConfig) -> Compiler {
     Compiler::for_target(params)
         .mapping(MappingOptions::custom(config))
@@ -108,8 +100,8 @@ fn two_pass(
 /// (mapped stream, schedule, metrics, Table-1a comparison, validated
 /// AOD programs), with the mapped schedule and its metrics derived
 /// exactly once.
-fn fused(pipeline: &Pipeline, circuit: &Circuit) -> usize {
-    let program = pipeline.compile(circuit).expect("compiles");
+fn fused(compiler: &Compiler, circuit: &Circuit) -> usize {
+    let program = compiler.compile(circuit).expect("compiles");
     program.schedule.len()
         + program.aod_programs.len()
         + program.metrics.cz_count
@@ -135,12 +127,12 @@ fn bench_fused_vs_two_pass(c: &mut Criterion) {
     )
     .expect("valid");
     let scheduler = Scheduler::new(params.clone());
-    let pipeline = legacy_pipeline(&params, MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+    let compiler = builder_compiler(&params, MapperConfig::try_hybrid(1.0).expect("valid alpha"));
     let mut group = c.benchmark_group("compile");
     group.sample_size(10);
     for (name, circuit) in [("qft-24", qft24()), ("qaoa-24", qaoa24())] {
         group.bench_function(format!("fused/{name}"), |b| {
-            b.iter(|| fused(&pipeline, &circuit))
+            b.iter(|| fused(&compiler, &circuit))
         });
         group.bench_function(format!("two-pass/{name}"), |b| {
             b.iter(|| two_pass(&mapper, &scheduler, &params, &circuit))
@@ -151,8 +143,11 @@ fn bench_fused_vs_two_pass(c: &mut Criterion) {
 
 fn bench_batch_threads(c: &mut Criterion) {
     let params = small_mixed();
-    let pipeline = legacy_pipeline(&params, MapperConfig::try_hybrid(1.0).expect("valid alpha"))
-        .with_baseline(false);
+    let compiler = Compiler::for_target(&params)
+        .mapping(MappingOptions::hybrid(1.0))
+        .baseline(false)
+        .build()
+        .expect("valid");
     let batch = table1_mix(&params);
     let mut group = c.benchmark_group("compile_batch");
     group.sample_size(10);
@@ -163,7 +158,7 @@ fn bench_batch_threads(c: &mut Criterion) {
     for &threads in thread_counts {
         group.bench_function(format!("{threads}-threads"), |b| {
             b.iter(|| {
-                let results = pipeline.compile_batch(&batch, threads);
+                let results = compiler.compile_batch(&batch, threads);
                 assert!(results.iter().all(|r| r.is_ok()));
             })
         });
@@ -249,7 +244,7 @@ fn write_baseline() {
     )
     .expect("valid");
     let scheduler = Scheduler::new(params.clone());
-    let pipeline = legacy_pipeline(&params, MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+    let compiler = builder_compiler(&params, MapperConfig::try_hybrid(1.0).expect("valid alpha"));
 
     // Headline comparison on QAOA-24: the schedule/metrics share of its
     // compile is the largest of the suite, so the fused saving (the
@@ -263,14 +258,14 @@ fn write_baseline() {
     let (fused_s, two_pass_s) = median_block_secs(
         12,
         250,
-        || fused(&pipeline, &circuit),
+        || fused(&compiler, &circuit),
         || two_pass(&mapper, &scheduler, &params, &circuit),
     );
     let qft = qft24();
     let (fused_qft_s, two_pass_qft_s) = median_block_secs(
         8,
         60,
-        || fused(&pipeline, &qft),
+        || fused(&compiler, &qft),
         || two_pass(&mapper, &scheduler, &params, &qft),
     );
 
@@ -279,7 +274,7 @@ fn write_baseline() {
     let runs = 8;
     let throughput = |threads: usize| {
         let secs = mean_secs(runs, || {
-            let results = pipeline.compile_batch(&batch, threads);
+            let results = compiler.compile_batch(&batch, threads);
             assert!(results.iter().all(|r| r.is_ok()));
         });
         batch.len() as f64 / secs
@@ -321,16 +316,10 @@ fn write_baseline() {
     let mega_s = mega_start.elapsed().as_secs_f64() / f64::from(mega_runs);
     schedule_share /= f64::from(mega_runs);
 
-    // Construction overhead of the redesigned builder session vs the
-    // legacy `Pipeline::new` shim (which now delegates to the builder,
-    // so the two should be within noise of each other). Paired and
-    // interleaved like the compile comparison.
+    // Construction cost of a builder session (validation, target
+    // resolution, CSR adjacency).
     let construct_cfg = MapperConfig::try_hybrid(1.0).expect("valid alpha");
-    let (builder_s, legacy_s) = paired_mean_secs(
-        2000,
-        || builder_compiler(&params, construct_cfg.clone()),
-        || legacy_pipeline(&params, construct_cfg.clone()),
-    );
+    let builder_s = mean_secs(2000, || builder_compiler(&params, construct_cfg.clone()));
 
     // `batch_throughput_{2,4}t_per_s` / `batch_speedup_4t` semantics:
     // circuits-per-second of `compile_batch` at that worker count, and
@@ -356,9 +345,7 @@ fn write_baseline() {
          \"batch_speedup_4t\": {},\n  \
          \"fused_qft128_100x100_ms\": {:.2},\n  \
          \"schedule_share_qft128\": {:.4},\n  \
-         \"builder_construct_us\": {:.3},\n  \
-         \"legacy_construct_us\": {:.3},\n  \
-         \"builder_vs_legacy_construct\": {:.3}\n}}\n",
+         \"builder_construct_us\": {:.3}\n}}\n",
         fused_s * 1e3,
         two_pass_s * 1e3,
         two_pass_s / fused_s,
@@ -373,8 +360,6 @@ fn write_baseline() {
         mega_s * 1e3,
         schedule_share,
         builder_s * 1e6,
-        legacy_s * 1e6,
-        builder_s / legacy_s,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     std::fs::write(path, &json).expect("write BENCH_pipeline.json");
@@ -390,16 +375,6 @@ fn write_baseline() {
         "fused compile must stay within noise of two-pass on \
          routing-dominated workloads \
          (fused {fused_qft_s:.2e}s vs two-pass {two_pass_qft_s:.2e}s)"
-    );
-    // The builder session must not cost meaningfully more to construct
-    // than the legacy shim it replaces (both validate once; the
-    // builder's extra work is one TargetSpec clone). Generous bound:
-    // construction is nanoseconds against multi-ms compiles.
-    assert!(
-        builder_s <= legacy_s * 3.0 + 20e-6,
-        "builder construction regressed: {:.2}us vs legacy {:.2}us",
-        builder_s * 1e6,
-        legacy_s * 1e6,
     );
     // The point of the scheduler hot-path rework: scheduling must no
     // longer dominate the mega compile (it was ~55% of it before the

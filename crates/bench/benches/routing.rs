@@ -346,7 +346,7 @@ fn map_ms_with_cache(
         let mut scratch = MapScratch::new();
         let mut ops: Vec<MappedOp> = Vec::new();
         mapper
-            .map_into_scratch(circuit, &mut ops, &mut scratch)
+            .map_into(circuit, &mut ops, &mut scratch, None)
             .expect("mappable");
         stats = scratch.route().distance_cache().snapshot();
     }) * 1e3;

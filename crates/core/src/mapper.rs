@@ -44,12 +44,11 @@ use crate::state::MappingState;
 /// the per-round frontier/lookahead buffers.
 ///
 /// One `MapScratch` serves one thread. Created implicitly by
-/// [`HybridMapper::map`] / [`HybridMapper::map_into`]; callers that map
-/// many circuits on the same thread (e.g. batch compilation workers)
-/// should create one and pass it to
-/// [`HybridMapper::map_into_scratch`] so the distance-cache pools and
-/// router tables stay warm across circuits. No semantic state crosses
-/// circuits — only buffer capacity.
+/// [`HybridMapper::map`]; callers that map many circuits on the same
+/// thread (e.g. batch compilation workers) should create one and pass
+/// it to every [`HybridMapper::map_into`] call so the distance-cache
+/// pools and router tables stay warm across circuits. No semantic state
+/// crosses circuits — only buffer capacity.
 #[derive(Debug, Default)]
 pub struct MapScratch {
     pub(crate) route: RouteScratch,
@@ -236,7 +235,7 @@ impl HybridMapper {
             self.params.num_atoms,
             self.config.initial_layout,
         );
-        let run = self.map_into(circuit, &mut out)?;
+        let run = self.map_into(circuit, &mut out, &mut MapScratch::new(), None)?;
         Ok(MappingOutcome {
             mapped: out,
             stats: run.stats,
@@ -250,7 +249,20 @@ impl HybridMapper {
     /// This is the single-pass entry point of the fused compile
     /// pipeline: a downstream consumer (e.g. an incremental scheduler)
     /// processes operations as they are routed. [`HybridMapper::map`] is
-    /// the trivial instance with a collecting sink.
+    /// the trivial instance with a collecting sink and a fresh scratch.
+    ///
+    /// The routing arena (distance-cache pools, journal, dense router
+    /// tables) and frontier buffers come from `scratch`; a caller that
+    /// maps many circuits on one thread (a batch or service worker)
+    /// keeps one alive so they stay warm. Scratch carries capacity,
+    /// never decisions: results are identical with a fresh one. The
+    /// distance-cache counters are reset on entry, so
+    /// [`DistanceCache::snapshot`](crate::DistanceCache::snapshot)
+    /// afterwards covers exactly this run.
+    ///
+    /// With `cancel` set, the token is polled once per routing round.
+    /// The poll is a pure read, so routing decisions — and artifacts —
+    /// are identical whenever the token never trips.
     ///
     /// The stream starts from the configured
     /// [initial layout](crate::InitialLayout) exactly like
@@ -258,62 +270,10 @@ impl HybridMapper {
     ///
     /// # Errors
     ///
-    /// Same contract as [`HybridMapper::map`]. On error the sink may
-    /// have received a prefix of the stream.
-    pub fn map_into(
-        &self,
-        circuit: &Circuit,
-        sink: &mut dyn OpSink,
-    ) -> Result<StreamOutcome, MapError> {
-        self.map_into_scratch(circuit, sink, &mut MapScratch::new())
-    }
-
-    /// [`HybridMapper::map_into`] with caller-provided working memory:
-    /// the routing arena (distance cache pools, journal, dense router
-    /// tables) and frontier buffers come from `scratch` and stay warm
-    /// for the next circuit mapped with the same scratch.
-    ///
-    /// This is the batch hot path: one `MapScratch` per worker thread,
-    /// reused across every circuit that worker compiles. Results are
-    /// identical to [`HybridMapper::map_into`] — scratch carries
-    /// capacity, never decisions.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HybridMapper::map`]. On error the sink may
-    /// have received a prefix of the stream.
-    pub fn map_into_scratch(
-        &self,
-        circuit: &Circuit,
-        sink: &mut dyn OpSink,
-        scratch: &mut MapScratch,
-    ) -> Result<StreamOutcome, MapError> {
-        self.map_impl(circuit, sink, scratch, None)
-    }
-
-    /// [`HybridMapper::map_into_scratch`] with a cooperative
-    /// [`CancelToken`], polled once per routing round.
-    ///
-    /// The poll is a pure read — routing decisions are identical to the
-    /// token-free entry points, so artifacts stay byte-for-byte the
-    /// same when the token never trips.
-    ///
-    /// # Errors
-    ///
     /// Same contract as [`HybridMapper::map`], plus
     /// [`MapError::Cancelled`] when the token trips at a checkpoint. On
-    /// cancellation the sink may have received a prefix of the stream.
-    pub fn map_into_cancel(
-        &self,
-        circuit: &Circuit,
-        sink: &mut dyn OpSink,
-        scratch: &mut MapScratch,
-        cancel: &CancelToken,
-    ) -> Result<StreamOutcome, MapError> {
-        self.map_impl(circuit, sink, scratch, Some(cancel))
-    }
-
-    fn map_impl(
+    /// error the sink may have received a prefix of the stream.
+    pub fn map_into(
         &self,
         circuit: &Circuit,
         sink: &mut dyn OpSink,
@@ -321,6 +281,7 @@ impl HybridMapper {
         cancel: Option<&CancelToken>,
     ) -> Result<StreamOutcome, MapError> {
         let start = Instant::now();
+        scratch.route.cache.reset_counters();
         let native = if circuit.is_native() {
             circuit.clone()
         } else {
@@ -839,7 +800,7 @@ mod tests {
         let mut sink =
             MappedCircuit::with_layout(c.num_qubits(), 25, mapper.config().initial_layout);
         let err = mapper
-            .map_into_cancel(&c, &mut sink, &mut MapScratch::new(), &token)
+            .map_into(&c, &mut sink, &mut MapScratch::new(), Some(&token))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -860,7 +821,7 @@ mod tests {
         let mut sink =
             MappedCircuit::with_layout(c.num_qubits(), 25, mapper.config().initial_layout);
         let run = mapper
-            .map_into_cancel(&c, &mut sink, &mut MapScratch::new(), &token)
+            .map_into(&c, &mut sink, &mut MapScratch::new(), Some(&token))
             .unwrap();
         assert_eq!(plain.mapped, sink, "checkpoint polls perturbed routing");
         assert_eq!(plain.stats, run.stats);

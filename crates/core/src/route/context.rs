@@ -113,8 +113,8 @@ struct StampedFields {
     queue_pool: Vec<VecDeque<u32>>,
     /// Monotone LRU clock; bumped on every publish or cache hit.
     use_clock: u64,
-    /// Peak `by_start.len()` ever observed — the memory-bound metric
-    /// guarded by the bench tier.
+    /// Peak `by_start.len()` since the last counter reset — the
+    /// memory-bound metric guarded by the bench tier.
     peak_entries: u64,
     /// Entries evicted by the LRU cap.
     evictions: u64,
@@ -545,7 +545,25 @@ impl DistanceCache {
         }
     }
 
-    /// `(hits, misses)` counters since construction.
+    /// Zeroes every counter [`DistanceCache::snapshot`] reports, so the
+    /// next snapshot covers only the work since this call. Cached
+    /// fields and pooled buffers are kept. Each mapping run calls this
+    /// on entry, which makes a compile's `route_cache` statistics
+    /// independent of how warm its scratch arena was.
+    pub(crate) fn reset_counters(&mut self) {
+        *self.hits.get_mut() = 0;
+        *self.misses.get_mut() = 0;
+        *self.settled.get_mut() = 0;
+        let inner = self.fields.get_mut().expect("cache lock");
+        inner.peak_entries = 0;
+        inner.evictions = 0;
+        inner.corridor_queries = 0;
+        inner.corridor_pruned = 0;
+        inner.regions_touched = 0;
+    }
+
+    /// `(hits, misses)` counters since construction or the last reset
+    /// (every mapping run resets them).
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -571,8 +589,8 @@ impl DistanceCache {
     }
 
     /// Total sites settled by BFS work through this cache since
-    /// construction — bounded queries settle a frontier, full fields
-    /// settle every reachable site.
+    /// construction or the last reset — bounded queries settle a
+    /// frontier, full fields settle every reachable site.
     pub fn sites_settled(&self) -> u64 {
         self.settled.load(Ordering::Relaxed)
     }

@@ -60,9 +60,7 @@ pub struct RoutingEngine {
     routers: Vec<Box<dyn Router>>,
     hood_int: Neighborhood,
     /// CSR adjacency of the lattice the engine routes on at `r_int`,
-    /// rebuilt lazily when a step arrives for a different lattice
-    /// (engines built via [`RoutingEngine::for_lattice`] resolve it
-    /// eagerly).
+    /// rebuilt lazily when a step arrives for a different lattice.
     table_int: NeighborTable,
     r_int: f64,
 }
@@ -75,24 +73,20 @@ impl RoutingEngine {
     /// the gate-based router, matching the decider's `GateBased`
     /// short-circuit for that degenerate case.
     ///
-    /// Assumes the full square lattice of `params`; use
-    /// [`RoutingEngine::for_lattice`] for other topologies.
+    /// Resolves the CSR interaction adjacency of the full square
+    /// lattice of `params`; use [`RoutingEngine::with_table`] for other
+    /// topologies.
     pub fn from_config(params: &HardwareParams, config: &MapperConfig) -> Self {
-        RoutingEngine::for_lattice(params, config, &Lattice::new(params.lattice_side))
-    }
-
-    /// [`RoutingEngine::from_config`] on an explicit trap topology —
-    /// the CSR interaction adjacency is resolved once here, so routing
-    /// rounds never pay geometry math per neighbor visit.
-    pub fn for_lattice(params: &HardwareParams, config: &MapperConfig, lattice: &Lattice) -> Self {
-        let hood = Neighborhood::new(params.r_int);
-        let table = NeighborTable::build(lattice, &hood);
+        let lattice = Lattice::new(params.lattice_side);
+        let table = NeighborTable::build(&lattice, &Neighborhood::new(params.r_int));
         RoutingEngine::with_table(params, config, table)
     }
 
-    /// [`RoutingEngine::for_lattice`] consuming an already-resolved CSR
-    /// table (e.g. the one a [`na_arch::TargetSpec`] carries), so
-    /// callers that hold one never pay the rebuild.
+    /// [`RoutingEngine::from_config`] consuming an already-resolved CSR
+    /// table of any trap topology (e.g. the one a
+    /// [`na_arch::TargetSpec`] carries), so callers that hold one never
+    /// pay the rebuild and routing rounds never pay geometry math per
+    /// neighbor visit.
     pub fn with_table(
         params: &HardwareParams,
         config: &MapperConfig,
@@ -115,20 +109,12 @@ impl RoutingEngine {
 
     /// Builds an engine over an explicit router list (priority order =
     /// tier order). This is the extension point for additional
-    /// strategies: implement [`Router`] and register it here. Assumes
-    /// the full square lattice of `params`.
+    /// strategies: implement [`Router`] and register it here. Resolves
+    /// the full square lattice of `params`; a step on another topology
+    /// rebuilds the adjacency for it.
     pub fn with_routers(params: &HardwareParams, routers: Vec<Box<dyn Router>>) -> Self {
-        RoutingEngine::with_routers_on(params, routers, &Lattice::new(params.lattice_side))
-    }
-
-    /// [`RoutingEngine::with_routers`] on an explicit trap topology.
-    pub fn with_routers_on(
-        params: &HardwareParams,
-        routers: Vec<Box<dyn Router>>,
-        lattice: &Lattice,
-    ) -> Self {
         let hood_int = Neighborhood::new(params.r_int);
-        let table_int = NeighborTable::build(lattice, &hood_int);
+        let table_int = NeighborTable::build(&Lattice::new(params.lattice_side), &hood_int);
         RoutingEngine {
             routers,
             hood_int,

@@ -215,7 +215,7 @@ impl SpecBufs {
 /// The per-thread routing arena: journal, distance cache, and every
 /// router scratch table, reused across rounds — and across circuits
 /// when the caller keeps it alive (see
-/// [`HybridMapper::map_into_scratch`](crate::HybridMapper::map_into_scratch)).
+/// [`HybridMapper::map_into`](crate::HybridMapper::map_into)).
 ///
 /// See the [module docs](self) for the ownership story and
 /// [`StateJournal`] for the speculation/stamp invariants.

@@ -1,7 +1,6 @@
 //! Multi-threaded batch compilation.
 //!
-//! [`Compiler::compile_batch`] (and the legacy
-//! [`Pipeline::compile_batch`]) fan a slice of circuits across scoped
+//! [`Compiler::compile_batch`] fans a slice of circuits across scoped
 //! worker threads. All workers share the same read-only session
 //! (hardware parameters, cost model, configuration) but own one
 //! [`CompileScratch`] each, so the routing arena (distance-cache pools,
@@ -17,54 +16,7 @@ use na_circuit::Circuit;
 
 use crate::compiler::CompileScratch;
 use crate::error::CompileError;
-use crate::{CompiledProgram, Compiler, Pipeline, PipelineError};
-
-/// Compiles every circuit on up to `threads` workers through `compile`,
-/// returning one result per circuit in input order. Workers pull the
-/// next unclaimed circuit from a shared atomic cursor (dynamic
-/// scheduling) and reuse one scratch arena for their whole run;
-/// `threads <= 1` compiles inline on one warm arena with no spawning
-/// overhead.
-fn run_batch<E: Send>(
-    circuits: &[Circuit],
-    threads: usize,
-    compile: impl Fn(&Circuit, &mut CompileScratch) -> Result<CompiledProgram, E> + Sync,
-) -> Vec<Result<CompiledProgram, E>> {
-    let workers = threads.clamp(1, circuits.len().max(1));
-    if workers <= 1 {
-        let mut scratch = CompileScratch::new();
-        return circuits.iter().map(|c| compile(c, &mut scratch)).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<CompiledProgram, E>>>> =
-        circuits.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = CompileScratch::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(circuit) = circuits.get(i) else {
-                        break;
-                    };
-                    let result = compile(circuit, &mut scratch);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot filled before scope exit")
-        })
-        .collect()
-}
+use crate::{CompiledProgram, Compiler};
 
 impl Compiler {
     /// Compiles every circuit of `circuits` on up to `threads` worker
@@ -105,26 +57,44 @@ impl Compiler {
         circuits: &[Circuit],
         threads: usize,
     ) -> Vec<Result<CompiledProgram, CompileError>> {
-        run_batch(circuits, threads, |c, scratch| {
-            self.compile_with(c, scratch)
-        })
-    }
-}
+        let workers = threads.clamp(1, circuits.len().max(1));
+        if workers <= 1 {
+            let mut scratch = CompileScratch::new();
+            return circuits
+                .iter()
+                .map(|c| self.compile_with(c, &mut scratch, None))
+                .collect();
+        }
 
-impl Pipeline {
-    /// Legacy batch front-end: [`Compiler::compile_batch`] with errors
-    /// mapped to [`PipelineError`]. Same ordering and threading
-    /// contract.
-    pub fn compile_batch(
-        &self,
-        circuits: &[Circuit],
-        threads: usize,
-    ) -> Vec<Result<CompiledProgram, PipelineError>> {
-        run_batch(circuits, threads, |c, scratch| {
-            self.compiler()
-                .compile_with(c, scratch)
-                .map_err(crate::error::to_legacy)
-        })
+        // Each worker pulls the next unclaimed circuit from the shared
+        // cursor and reuses one scratch arena for its whole run.
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<Result<CompiledProgram, CompileError>>>> =
+            circuits.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    let mut scratch = CompileScratch::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(circuit) = circuits.get(i) else {
+                            break;
+                        };
+                        let result = self.compile_with(circuit, &mut scratch, None);
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
+                    }
+                });
+            }
+        });
+
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("every slot filled before scope exit")
+            })
+            .collect()
     }
 }
 
@@ -188,21 +158,5 @@ mod tests {
     fn empty_batch_is_fine() {
         let compiler = compiler();
         assert!(compiler.compile_batch(&[], 4).is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_batch_front_end_still_works() {
-        let params = HardwareParams::mixed()
-            .to_builder()
-            .lattice(6, 3.0)
-            .num_atoms(24)
-            .build()
-            .expect("valid");
-        let pipeline = Pipeline::new(params, na_mapper::MapperConfig::default()).expect("valid");
-        let batch = mixed_batch();
-        let results = pipeline.compile_batch(&batch, 2);
-        assert!(results[..5].iter().all(|r| r.is_ok()));
-        assert!(matches!(results[5], Err(PipelineError::Map(_))));
     }
 }

@@ -11,11 +11,9 @@
 //!     .compile(&circuit)?            // -> Result<CompiledProgram, CompileError>
 //! ```
 //!
-//! All construction-time panics of the legacy API (`assert!` on a
-//! non-finite α, layout placement aborting on an undersized lattice)
-//! become typed [`CompileError`] cases here; the deprecated
-//! [`Pipeline::new`](crate::Pipeline::new) shim delegates to this
-//! builder.
+//! Construction never panics: a non-finite α or an undersized lattice
+//! becomes a typed [`CompileError`] case from
+//! [`CompilerBuilder::build`].
 
 use std::time::{Duration, Instant};
 
@@ -323,11 +321,6 @@ impl CompileScratch {
     pub fn new() -> Self {
         CompileScratch::default()
     }
-
-    /// The mapper scratch (exposed for benchmarks/diagnostics).
-    pub fn map(&self) -> &MapScratch {
-        &self.map
-    }
 }
 
 /// Ops per scheduler block of the fused sink. Scheduling a block mid-map
@@ -425,34 +418,24 @@ impl Compiler {
     ///   shuttling protocol (library bug guard; surfaced instead of
     ///   silently accepted).
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledProgram, CompileError> {
-        self.compile_with(circuit, &mut CompileScratch::new())
+        self.compile_with(circuit, &mut CompileScratch::new(), None)
     }
 
-    /// [`Compiler::compile`] with caller-provided working memory: the
-    /// routing arena stays warm for the next circuit compiled with the
-    /// same scratch. This is the per-worker hot path of
-    /// [`Compiler::compile_batch`]; results are identical to
-    /// [`Compiler::compile`].
+    /// [`Compiler::compile`] with caller-provided working memory and an
+    /// optional cooperative [`CancelToken`].
     ///
-    /// # Errors
+    /// The routing arena in `scratch` stays warm for the next circuit
+    /// compiled with it; this is the per-worker hot path of
+    /// [`Compiler::compile_batch`] and of a service worker. With
+    /// `cancel` set, the token threads into the mapper round loop, the
+    /// scheduler's flush waves and the per-batch lowering loop as cheap
+    /// checkpoint polls (a relaxed atomic load each), so multi-second
+    /// compiles observe a tripped token within one routing round.
     ///
-    /// Same contract as [`Compiler::compile`].
-    pub fn compile_with(
-        &self,
-        circuit: &Circuit,
-        scratch: &mut CompileScratch,
-    ) -> Result<CompiledProgram, CompileError> {
-        self.compile_impl(circuit, scratch, None)
-    }
-
-    /// [`Compiler::compile_with`] under a cooperative [`CancelToken`]:
-    /// the token threads into the mapper round loop, the scheduler's
-    /// flush waves and the per-batch lowering loop as cheap checkpoint
-    /// polls (a relaxed atomic load each), so multi-second compiles
-    /// observe a tripped token within one routing round.
-    ///
-    /// Polls are pure reads: with an untripped token the artifact is
-    /// byte-identical to [`Compiler::compile_with`].
+    /// Neither argument changes the artifact: a warm scratch carries
+    /// capacity only (its `route_cache` counters restart per compile),
+    /// and polls are pure reads, so results are byte-identical to
+    /// [`Compiler::compile`] whenever the token never trips.
     ///
     /// # Errors
     ///
@@ -460,16 +443,7 @@ impl Compiler {
     /// [`CompileError::DeadlineExceeded`] when the token's deadline
     /// passes and [`CompileError::Cancelled`] when it is cancelled
     /// explicitly.
-    pub fn compile_with_cancel(
-        &self,
-        circuit: &Circuit,
-        scratch: &mut CompileScratch,
-        cancel: &CancelToken,
-    ) -> Result<CompiledProgram, CompileError> {
-        self.compile_impl(circuit, scratch, Some(cancel))
-    }
-
-    fn compile_impl(
+    pub fn compile_with(
         &self,
         circuit: &Circuit,
         scratch: &mut CompileScratch,
@@ -500,18 +474,13 @@ impl Compiler {
         if let Some(token) = cancel {
             sink.scheduler.set_cancel(token.clone());
         }
-        let run = match cancel {
-            Some(token) => self
-                .mapper
-                .map_into_cancel(circuit, &mut sink, &mut scratch.map, token),
-            None => self
-                .mapper
-                .map_into_scratch(circuit, &mut sink, &mut scratch.map),
-        }
-        .map_err(|e| match e {
-            MapError::Cancelled { reason } => cancel_error(reason),
-            other => CompileError::Map(other),
-        })?;
+        let run = self
+            .mapper
+            .map_into(circuit, &mut sink, &mut scratch.map, cancel)
+            .map_err(|e| match e {
+                MapError::Cancelled { reason } => cancel_error(reason),
+                other => CompileError::Map(other),
+            })?;
         // Scheduler drains that ran *inside* the mapping pass count
         // toward the schedule phase, not the map phase.
         let sched_during_map = sink.sched_time;
@@ -633,7 +602,7 @@ impl Compiler {
     }
 }
 
-/// Why the lowering loop stopped early (internal to `compile_impl`).
+/// Why the lowering loop stopped early (internal to `compile_with`).
 enum LowerStop {
     Schedule(ScheduleError),
     Cancelled(CancelReason),
@@ -651,7 +620,7 @@ fn cancel_error(reason: CancelReason) -> CompileError {
 mod tests {
     use super::*;
     use na_arch::ZonedTarget;
-    use na_circuit::generators::{GraphState, Qft};
+    use na_circuit::generators::{GraphState, Qft, RandomCircuit};
     use na_mapper::verify_mapping_on;
 
     fn small(preset: HardwareParams, side: u32, atoms: u32) -> HardwareParams {
@@ -728,6 +697,17 @@ mod tests {
         ));
     }
 
+    /// Stats agree with the artifact they describe, and the baseline
+    /// comparison is present by default and never worse than mapping
+    /// without it.
+    fn assert_consistent(program: &CompiledProgram) {
+        assert_eq!(program.aod_programs.len(), program.schedule.batch_count());
+        assert_eq!(program.stats.aod_batches, program.aod_programs.len());
+        assert_eq!(program.stats.aod_moves, program.schedule.move_count());
+        assert!(program.comparison.is_some());
+        assert!(program.delta_f().unwrap() >= -1e-9);
+    }
+
     #[test]
     fn compiles_on_square_and_zoned_targets() {
         let c = GraphState::new(14).edges(18).seed(3).build();
@@ -739,35 +719,66 @@ mod tests {
             .compile(&c)
             .unwrap();
         verify_mapping_on(&c, &program.mapped, &square, square.lattice()).unwrap();
+        assert_consistent(&program);
         // Zoned: same physics, banded topology.
         let zoned = ZonedTarget::new(small(HardwareParams::mixed(), 8, 25), 2, 1).expect("fits");
         let compiler = Compiler::for_target(&zoned).build().unwrap();
         let program = compiler.compile(&c).unwrap();
         verify_mapping_on(&c, &program.mapped, zoned.params(), zoned.lattice()).unwrap();
-        assert_eq!(program.aod_programs.len(), program.schedule.batch_count());
+        assert_consistent(&program);
+    }
+
+    /// The artifact JSON with the wall-clock stamps zeroed.
+    fn stamp_free_json(mut program: CompiledProgram) -> String {
+        program.stats.map_runtime = Duration::ZERO;
+        program.stats.total_runtime = Duration::ZERO;
+        program.stats.map_phase = Duration::ZERO;
+        program.stats.schedule_phase = Duration::ZERO;
+        program.stats.lower_phase = Duration::ZERO;
+        program.to_json()
     }
 
     #[test]
     fn warm_scratch_reuse_is_artifact_identical() {
         // One scratch across heterogeneous circuits must produce exactly
         // the artifacts of per-call fresh scratch — arenas carry
-        // capacity, never decisions.
+        // capacity, never decisions, and the route-cache counters
+        // restart per compile.
         let t = small(HardwareParams::mixed(), 6, 25);
         let compiler = Compiler::for_target(&t).build().unwrap();
-        let circuits = [
-            Qft::new(14).build(),
-            GraphState::new(18).edges(24).seed(7).build(),
-            Qft::new(10).build(),
+        // Gate-only CCZ-heavy random circuits keep the distance cache
+        // busy: hundreds of hits per compile on a 20×20 lattice.
+        let wide = small(HardwareParams::mixed(), 20, 200);
+        let gate_only = Compiler::for_target(&wide)
+            .mapping(MappingOptions::gate_only())
+            .build()
+            .unwrap();
+        let random = RandomCircuit::new(64)
+            .layers(6)
+            .two_qubit_fraction(0.5)
+            .multi_qubit_fraction(0.5)
+            .seed(11)
+            .build();
+        let jobs = [
+            (&compiler, Qft::new(14).build()),
+            (&compiler, GraphState::new(18).edges(24).seed(7).build()),
+            (&compiler, Qft::new(10).build()),
+            (&gate_only, random.clone()),
+            (&gate_only, random),
         ];
         let mut scratch = CompileScratch::new();
-        for c in &circuits {
-            let warm = compiler.compile_with(c, &mut scratch).unwrap();
-            let cold = compiler.compile(c).unwrap();
+        for (session, c) in &jobs {
+            let warm = session.compile_with(c, &mut scratch, None).unwrap();
+            let cold = session.compile(c).unwrap();
             assert_eq!(warm.mapped, cold.mapped);
             assert_eq!(warm.schedule, cold.schedule);
             assert_eq!(warm.metrics, cold.metrics);
             assert_eq!(warm.aod_programs, cold.aod_programs);
+            assert_eq!(warm.stats.route_cache, cold.stats.route_cache);
+            assert_eq!(stamp_free_json(warm), stamp_free_json(cold));
         }
+        let busy = gate_only.compile(&jobs[3].1).unwrap().stats.route_cache;
+        assert!(busy.hits > 0, "the random circuit must exercise the cache");
     }
 
     #[test]
@@ -779,13 +790,13 @@ mod tests {
         let token = CancelToken::never();
         token.cancel();
         let err = compiler
-            .compile_with_cancel(&c, &mut CompileScratch::new(), &token)
+            .compile_with(&c, &mut CompileScratch::new(), Some(&token))
             .unwrap_err();
         assert!(matches!(err, CompileError::Cancelled), "got {err:?}");
         // Expired deadline.
         let token = CancelToken::with_deadline(Duration::ZERO);
         let err = compiler
-            .compile_with_cancel(&c, &mut CompileScratch::new(), &token)
+            .compile_with(&c, &mut CompileScratch::new(), Some(&token))
             .unwrap_err();
         assert!(matches!(err, CompileError::DeadlineExceeded), "got {err:?}");
     }
@@ -798,13 +809,59 @@ mod tests {
         let plain = compiler.compile(&c).unwrap();
         let token = CancelToken::with_deadline(Duration::from_secs(3600));
         let watched = compiler
-            .compile_with_cancel(&c, &mut CompileScratch::new(), &token)
+            .compile_with(&c, &mut CompileScratch::new(), Some(&token))
             .unwrap();
         assert_eq!(plain.mapped, watched.mapped);
         assert_eq!(plain.schedule, watched.schedule);
         assert_eq!(plain.metrics, watched.metrics);
         assert_eq!(plain.aod_programs, watched.aod_programs);
         assert_eq!(plain.comparison, watched.comparison);
+    }
+
+    #[test]
+    fn baseline_can_be_disabled() {
+        let t = small(HardwareParams::mixed(), 5, 12);
+        let compiler = Compiler::for_target(&t).baseline(false).build().unwrap();
+        assert!(!compiler.baseline_enabled());
+        let program = compiler.compile(&Qft::new(8).build()).unwrap();
+        assert!(program.comparison.is_none());
+        assert!(program.delta_f().is_none());
+    }
+
+    #[test]
+    fn too_wide_circuit_is_a_typed_map_error() {
+        let t = small(HardwareParams::mixed(), 4, 8);
+        let compiler = Compiler::for_target(&t).build().unwrap();
+        assert!(matches!(
+            compiler.compile(&Circuit::new(9)),
+            Err(CompileError::Map(MapError::CircuitTooWide { .. }))
+        ));
+    }
+
+    #[test]
+    fn json_artifact_is_one_object_with_its_top_level_keys() {
+        let t = small(HardwareParams::shuttling(), 6, 20);
+        let compiler = Compiler::for_target(&t)
+            .mapping(MappingOptions::shuttle_only())
+            .build()
+            .unwrap();
+        let program = compiler.compile(&Qft::new(10).build()).unwrap();
+        let json = program.to_json();
+        assert!(json.trim_start().starts_with('{'));
+        assert!(json.trim_end().ends_with('}'));
+        for key in [
+            "\"stats\"",
+            "\"metrics\"",
+            "\"comparison\"",
+            "\"mapped\"",
+            "\"schedule\"",
+            "\"aod_programs\"",
+        ] {
+            assert!(json.contains(key), "missing {key}");
+        }
+        // Shuttle-only mapping must have lowered at least one program.
+        assert!(!program.aod_programs.is_empty());
+        assert!(json.contains("\"op\":\"translate\""));
     }
 
     #[test]

@@ -1,76 +1,12 @@
-//! Typed pipeline errors: the legacy [`PipelineError`] of the
-//! `Pipeline` shim and the unified [`CompileError`] of the
-//! [`Compiler`](crate::Compiler) session API.
+//! The unified [`CompileError`] of the [`Compiler`](crate::Compiler)
+//! session API.
 
 use na_arch::ArchError;
 use na_mapper::{ConfigError, MapError};
-use na_schedule::aod_program::AodProgramError;
 use na_schedule::ScheduleError;
 use std::fmt;
 
 use crate::job::RequestError;
-
-/// Errors raised while compiling a circuit through the legacy
-/// [`Pipeline`] shim. New code should use
-/// [`Compiler`](crate::Compiler), whose [`CompileError`] unifies these
-/// with configuration, target and job-layer errors.
-///
-/// [`Pipeline`]: crate::Pipeline
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum PipelineError {
-    /// Mapping failed (hardware validation, infeasible gate, routing
-    /// stuck — see [`MapError`]).
-    Map(MapError),
-    /// The mapper configuration is invalid (see [`ConfigError`]).
-    Config(ConfigError),
-    /// An AOD batch lowered to an instruction stream that violates the
-    /// shuttling protocol. This is the second-pass drift guard: every
-    /// lowered batch is re-validated against the replayed lattice
-    /// occupancy instead of silently trusting the scheduler.
-    InvalidAodBatch {
-        /// Index of the offending batch among the schedule's AOD
-        /// transactions (0-based, schedule order).
-        batch_index: usize,
-        /// The batch's scheduled start time in µs.
-        start_us: f64,
-        /// The violated constraint.
-        source: AodProgramError,
-    },
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::Map(e) => write!(f, "mapping failed: {e}"),
-            PipelineError::Config(e) => write!(f, "invalid configuration: {e}"),
-            PipelineError::InvalidAodBatch {
-                batch_index,
-                start_us,
-                source,
-            } => write!(
-                f,
-                "AOD batch {batch_index} (t = {start_us:.3} µs) failed validation: {source}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PipelineError::Map(e) => Some(e),
-            PipelineError::Config(e) => Some(e),
-            PipelineError::InvalidAodBatch { source, .. } => Some(source),
-        }
-    }
-}
-
-impl From<MapError> for PipelineError {
-    fn from(e: MapError) -> Self {
-        PipelineError::Map(e)
-    }
-}
 
 /// The single error type of the redesigned compile API: everything
 /// [`Compiler::for_target`] → `build()` → `compile`/`compile_batch` (and
@@ -163,98 +99,11 @@ impl From<RequestError> for CompileError {
     }
 }
 
-impl From<PipelineError> for CompileError {
-    /// Maps a legacy error into the unified type (no wrapper variant:
-    /// the legacy cases are a strict subset).
-    fn from(e: PipelineError) -> Self {
-        match e {
-            PipelineError::Map(e) => CompileError::Map(e),
-            PipelineError::Config(e) => CompileError::Config(e),
-            PipelineError::InvalidAodBatch {
-                batch_index,
-                start_us,
-                source,
-            } => CompileError::Schedule(ScheduleError::InvalidAodBatch {
-                batch_index,
-                start_us,
-                source,
-            }),
-        }
-    }
-}
-
-/// Converts a unified compile-time error back to the legacy type for
-/// the deprecated [`Pipeline`](crate::Pipeline) shim. Target errors map
-/// to `Map(MapError::Arch(..))` — exactly what `Pipeline::new` returned
-/// before the redesign.
-pub(crate) fn to_legacy(e: CompileError) -> PipelineError {
-    match e {
-        CompileError::Map(e) => PipelineError::Map(e),
-        CompileError::Target(e) => PipelineError::Map(MapError::Arch(e)),
-        CompileError::Config(e) => PipelineError::Config(e),
-        CompileError::Schedule(e) => match e {
-            ScheduleError::InvalidAodBatch {
-                batch_index,
-                start_us,
-                source,
-            } => PipelineError::InvalidAodBatch {
-                batch_index,
-                start_us,
-                source,
-            },
-            // `ScheduleError` is non-exhaustive upstream; future cases
-            // have no legacy spelling, so degrade to a described error.
-            other => PipelineError::Map(MapError::Arch(ArchError::InvalidParameter {
-                name: "schedule",
-                reason: other.to_string(),
-            })),
-        },
-        // Job-layer errors cannot reach the legacy shim (it never
-        // parses request documents); map defensively instead of
-        // panicking.
-        CompileError::Request(e) => {
-            PipelineError::Map(MapError::Arch(ArchError::InvalidParameter {
-                name: "request",
-                reason: e.to_string(),
-            }))
-        }
-        // The legacy shim offers no cancellation entry point, so these
-        // cannot occur through it; map defensively instead of panicking.
-        other @ (CompileError::DeadlineExceeded | CompileError::Cancelled) => {
-            PipelineError::Map(MapError::Arch(ArchError::InvalidParameter {
-                name: "cancel",
-                reason: other.to_string(),
-            }))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use na_schedule::aod_program::AodProgramError;
     use std::error::Error;
-
-    #[test]
-    fn display_names_the_batch() {
-        let e = PipelineError::InvalidAodBatch {
-            batch_index: 3,
-            start_us: 12.5,
-            source: AodProgramError::LineCrossing,
-        };
-        let text = e.to_string();
-        assert!(text.contains("batch 3"));
-        assert!(text.contains("cross"));
-    }
-
-    #[test]
-    fn map_errors_convert() {
-        let e: PipelineError = MapError::CircuitTooWide {
-            circuit_qubits: 10,
-            atoms: 4,
-        }
-        .into();
-        assert!(matches!(e, PipelineError::Map(_)));
-    }
 
     /// The unified error chains all the way to the protocol violation:
     /// `CompileError` → `ScheduleError` → `AodProgramError`.
@@ -279,30 +128,5 @@ mod tests {
         assert!(chain[0].contains("scheduling failed"));
         assert!(chain[1].contains("batch 1"));
         assert!(chain[2].contains("cross"));
-    }
-
-    #[test]
-    fn legacy_round_trip_preserves_cases() {
-        let aod = PipelineError::InvalidAodBatch {
-            batch_index: 4,
-            start_us: 1.0,
-            source: AodProgramError::LineCrossing,
-        };
-        assert_eq!(to_legacy(CompileError::from(aod.clone())), aod);
-        let map = PipelineError::Map(MapError::CircuitTooWide {
-            circuit_qubits: 5,
-            atoms: 2,
-        });
-        assert_eq!(to_legacy(CompileError::from(map.clone())), map);
-        // Target errors surface exactly like the pre-redesign
-        // `Pipeline::new` did.
-        let arch = ArchError::TooManyAtoms {
-            atoms: 10,
-            sites: 9,
-        };
-        assert_eq!(
-            to_legacy(CompileError::Target(arch.clone())),
-            PipelineError::Map(MapError::Arch(arch))
-        );
     }
 }

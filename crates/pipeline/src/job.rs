@@ -354,7 +354,7 @@ impl CompileRequest {
     /// failing the job.
     pub fn run(&self) -> Result<CompileResponse, CompileError> {
         let compiler = self.build_session()?;
-        Ok(self.run_with(&compiler, &mut crate::CompileScratch::new()))
+        self.run_with(&compiler, &mut crate::CompileScratch::new(), None)
     }
 
     /// Builds the [`Compiler`] session this request describes (target,
@@ -374,20 +374,34 @@ impl CompileRequest {
     }
 
     /// Compiles every circuit of the request on an already-built
-    /// session, reusing the caller's warm scratch arena.
+    /// session, reusing the caller's warm scratch arena, optionally
+    /// under a cooperative [`CancelToken`].
     ///
-    /// `threads > 1` fans out through
-    /// [`Compiler::compile_batch`] exactly like [`CompileRequest::run`];
-    /// otherwise circuits compile inline on `scratch` so a service
-    /// worker keeps one arena warm across every request it serves.
-    /// Artifacts are identical either way. `compiler` must be the
-    /// session of [`CompileRequest::build_session`] (or an equivalent
-    /// one — e.g. a content-hash cached instance).
+    /// Without a token, `threads > 1` fans out through
+    /// [`Compiler::compile_batch`]; otherwise circuits compile inline on
+    /// `scratch` so a service worker keeps one arena warm across every
+    /// request it serves. With a token, circuits always compile inline
+    /// (a request racing its deadline has no business amplifying onto
+    /// more cores), and the first checkpoint trip aborts the *whole
+    /// request*: a deadline covers the request, not each circuit, so
+    /// the caller replies with one typed deadline/cancellation document
+    /// instead of a partial response. Artifacts are identical on every
+    /// path. `compiler` must be the session of
+    /// [`CompileRequest::build_session`] (or an equivalent one — e.g. a
+    /// content-hash cached instance).
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::DeadlineExceeded`] / [`CompileError::Cancelled`]
+    /// when the token tripped mid-compile. Other per-circuit failures
+    /// (bad QASM, routing stuck, …) land in their [`JobOutcome`] slot
+    /// instead of failing the request.
     pub fn run_with(
         &self,
         compiler: &Compiler,
         scratch: &mut crate::CompileScratch,
-    ) -> CompileResponse {
+        cancel: Option<&CancelToken>,
+    ) -> Result<CompileResponse, CompileError> {
         // Parse QASM per circuit; parse failures stay in their slot
         // while the parsed circuits land (unduplicated) in the batch.
         let mut good: Vec<Circuit> = Vec::with_capacity(self.circuits.len());
@@ -404,12 +418,19 @@ impl CompileRequest {
                 }))),
             }
         }
-        let compiled: Vec<Result<CompiledProgram, CompileError>> = if self.threads > 1 {
+        let compiled = if self.threads > 1 && cancel.is_none() {
             compiler.compile_batch(&good, self.threads)
         } else {
-            good.iter()
-                .map(|c| compiler.compile_with(c, scratch))
-                .collect()
+            let mut compiled = Vec::with_capacity(good.len());
+            for circuit in &good {
+                match compiler.compile_with(circuit, scratch, cancel) {
+                    Err(e @ (CompileError::DeadlineExceeded | CompileError::Cancelled)) => {
+                        return Err(e)
+                    }
+                    other => compiled.push(other),
+                }
+            }
+            compiled
         };
         let mut compiled = compiled.into_iter();
         let results = self
@@ -424,56 +445,6 @@ impl CompileRequest {
                 },
             })
             .collect();
-        CompileResponse {
-            request_id: self.request_id.clone(),
-            target: self.target.id.clone(),
-            results,
-        }
-    }
-
-    /// [`CompileRequest::run_with`] under a cooperative
-    /// [`CancelToken`]: every circuit compiles through
-    /// [`Compiler::compile_with_cancel`], and the first checkpoint trip
-    /// aborts the *whole request* — a deadline covers the request, not
-    /// each circuit, so the caller replies with exactly one typed
-    /// deadline/cancellation document instead of a partial response.
-    ///
-    /// Circuits compile inline on `scratch` regardless of `threads`
-    /// (artifacts are identical to the fan-out path; a request racing
-    /// its deadline has no business amplifying onto more cores).
-    ///
-    /// # Errors
-    ///
-    /// * [`CompileError::DeadlineExceeded`] / [`CompileError::Cancelled`]
-    ///   — the token tripped mid-compile.
-    ///
-    /// Other per-circuit failures stay in their [`JobOutcome`] slot
-    /// exactly like [`CompileRequest::run_with`].
-    pub fn run_with_cancel(
-        &self,
-        compiler: &Compiler,
-        scratch: &mut crate::CompileScratch,
-        cancel: &CancelToken,
-    ) -> Result<CompileResponse, CompileError> {
-        let mut results = Vec::with_capacity(self.circuits.len());
-        for job in &self.circuits {
-            let result = match from_qasm(&job.qasm) {
-                Ok(circuit) => match compiler.compile_with_cancel(&circuit, scratch, cancel) {
-                    Err(e @ (CompileError::DeadlineExceeded | CompileError::Cancelled)) => {
-                        return Err(e)
-                    }
-                    other => other,
-                },
-                Err(source) => Err(CompileError::Request(RequestError::Qasm {
-                    circuit: job.name.clone(),
-                    source,
-                })),
-            };
-            results.push(JobOutcome {
-                name: job.name.clone(),
-                result,
-            });
-        }
         Ok(CompileResponse {
             request_id: self.request_id.clone(),
             target: self.target.id.clone(),
@@ -1423,7 +1394,9 @@ mod tests {
         let via_run = req.run().expect("session builds");
         let compiler = req.build_session().expect("builds");
         let mut scratch = crate::CompileScratch::new();
-        let via_run_with = req.run_with(&compiler, &mut scratch);
+        let via_run_with = req
+            .run_with(&compiler, &mut scratch, None)
+            .expect("no token");
         assert_eq!(via_run.target, via_run_with.target);
         let a = via_run.results[0].result.as_ref().expect("compiles");
         let b = via_run_with.results[0].result.as_ref().expect("compiles");

@@ -59,9 +59,11 @@
 //! A service front-end can drive the same session from one JSON
 //! document in and one out — see [`job`].
 //!
-//! The pre-redesign entry point [`Pipeline::new`] remains as a thin
-//! deprecated shim over [`Compiler`]; it produces identical artifacts
-//! on the square-lattice presets.
+//! Each layer has one compile entry point with one convenience
+//! wrapper: [`Compiler::compile_with`] takes the caller's warm
+//! [`CompileScratch`] and an optional
+//! [`CancelToken`](na_mapper::CancelToken), and [`Compiler::compile`]
+//! is the same call with a fresh scratch and no token.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -74,224 +76,9 @@ pub mod job;
 pub mod program;
 
 pub use compiler::{CompileScratch, Compiler, CompilerBuilder, MappingOptions, SchedulingOptions};
-pub use error::{CompileError, PipelineError};
+pub use error::CompileError;
 pub use job::{
     error_to_json, handle_json, handle_json_document, with_request_id, CompileRequest,
     CompileResponse, JobCircuit, JobOutcome, RequestError, TargetResolver,
 };
 pub use program::{CompileStats, CompiledProgram};
-
-use na_arch::HardwareParams;
-use na_circuit::Circuit;
-use na_mapper::MapperConfig;
-
-/// The legacy compile pipeline: a thin shim over [`Compiler`] bound to
-/// the full square lattice of its [`HardwareParams`].
-///
-/// Kept so existing callers and tests compile unchanged; new code
-/// should use [`Compiler::for_target`], which supports arbitrary
-/// backend targets and returns typed errors for every construction
-/// failure.
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    inner: Compiler,
-}
-
-impl Pipeline {
-    /// Creates a pipeline after validating the hardware description.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hardware validation failures as
-    /// [`PipelineError::Map`] and configuration failures as
-    /// [`PipelineError::Config`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Compiler::for_target(&params).mapping(MappingOptions::custom(config)).build()`"
-    )]
-    pub fn new(params: HardwareParams, config: MapperConfig) -> Result<Self, PipelineError> {
-        let inner = Compiler::for_target(&params)
-            .mapping(MappingOptions::custom(config))
-            .build()
-            .map_err(error::to_legacy)?;
-        Ok(Pipeline { inner })
-    }
-
-    /// Disables (or re-enables) the ideal-baseline comparison.
-    ///
-    /// The baseline schedule of the *original* circuit is what the
-    /// Table 1a `Δ` quantities are measured against; skipping it saves
-    /// one (cheap, restriction-free) scheduling pass when only the
-    /// mapped artifact matters.
-    pub fn with_baseline(self, enabled: bool) -> Self {
-        // Rebuild through the compiler builder to keep one source of
-        // truth for session state.
-        let inner = Compiler::for_target(self.inner.target())
-            .mapping(MappingOptions::custom(self.inner.config().clone()))
-            .baseline(enabled)
-            .build()
-            .expect("already-validated session stays valid");
-        Pipeline { inner }
-    }
-
-    /// The hardware parameters.
-    pub fn params(&self) -> &HardwareParams {
-        self.inner.params()
-    }
-
-    /// The mapper configuration.
-    pub fn config(&self) -> &MapperConfig {
-        self.inner.config()
-    }
-
-    /// The underlying [`Compiler`] session.
-    pub fn compiler(&self) -> &Compiler {
-        &self.inner
-    }
-
-    /// Compiles one circuit: fused map+schedule pass, AOD lowering with
-    /// validation, Eq. (1) metrics, optional baseline comparison.
-    ///
-    /// # Errors
-    ///
-    /// * [`PipelineError::Map`] — mapping failed.
-    /// * [`PipelineError::InvalidAodBatch`] — a lowered AOD batch
-    ///   violated the shuttling protocol (library bug guard; surfaced
-    ///   instead of silently accepted).
-    pub fn compile(&self, circuit: &Circuit) -> Result<CompiledProgram, PipelineError> {
-        self.inner.compile(circuit).map_err(error::to_legacy)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use na_circuit::generators::{GraphState, Qft};
-    use na_mapper::MapError;
-    use na_schedule::{ScheduleMetrics, Scheduler};
-
-    fn small(preset: HardwareParams, side: u32, atoms: u32) -> HardwareParams {
-        preset
-            .to_builder()
-            .lattice(side, 3.0)
-            .num_atoms(atoms)
-            .build()
-            .expect("valid")
-    }
-
-    #[allow(deprecated)]
-    fn legacy(params: HardwareParams, config: MapperConfig) -> Pipeline {
-        Pipeline::new(params, config).expect("valid")
-    }
-
-    #[test]
-    fn compile_produces_consistent_artifact() {
-        let p = small(HardwareParams::mixed(), 6, 25);
-        let pipeline = legacy(
-            p.clone(),
-            MapperConfig::try_hybrid(1.0).expect("valid alpha"),
-        );
-        let c = GraphState::new(18).edges(26).seed(3).build();
-        let program = pipeline.compile(&c).unwrap();
-
-        // The mapped stream verifies against the physics model.
-        na_mapper::verify_mapping(&c, &program.mapped, &p).unwrap();
-        // Fused schedule identical to re-walking the retained stream.
-        let two_pass = Scheduler::new(p.clone()).schedule_mapped(&program.mapped);
-        assert_eq!(program.schedule, two_pass);
-        // Metrics bit-identical to the post-hoc computation.
-        assert_eq!(program.metrics, ScheduleMetrics::of(&program.schedule, &p));
-        // One validated AOD program per scheduled batch.
-        assert_eq!(program.aod_programs.len(), program.schedule.batch_count());
-        assert_eq!(program.stats.aod_batches, program.aod_programs.len());
-        assert_eq!(program.stats.aod_moves, program.schedule.move_count());
-        // Baseline comparison present by default.
-        assert!(program.comparison.is_some());
-        assert!(program.delta_f().unwrap() >= -1e-9);
-    }
-
-    #[test]
-    fn baseline_can_be_disabled() {
-        let p = small(HardwareParams::mixed(), 5, 12);
-        let pipeline = legacy(p, MapperConfig::default()).with_baseline(false);
-        let program = pipeline.compile(&Qft::new(8).build()).unwrap();
-        assert!(program.comparison.is_none());
-        assert!(program.delta_f().is_none());
-    }
-
-    #[test]
-    fn map_errors_propagate_typed() {
-        let p = small(HardwareParams::mixed(), 4, 8);
-        let pipeline = legacy(p, MapperConfig::default());
-        let too_wide = Circuit::new(9);
-        assert!(matches!(
-            pipeline.compile(&too_wide),
-            Err(PipelineError::Map(MapError::CircuitTooWide { .. }))
-        ));
-    }
-
-    #[test]
-    fn json_document_is_one_object() {
-        let p = small(HardwareParams::shuttling(), 6, 20);
-        let pipeline = legacy(p, MapperConfig::shuttle_only());
-        let program = pipeline.compile(&Qft::new(10).build()).unwrap();
-        let json = program.to_json();
-        assert!(json.trim_start().starts_with('{'));
-        assert!(json.trim_end().ends_with('}'));
-        for key in [
-            "\"stats\"",
-            "\"metrics\"",
-            "\"comparison\"",
-            "\"mapped\"",
-            "\"schedule\"",
-            "\"aod_programs\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        // Shuttle-only mapping must have lowered at least one program.
-        assert!(!program.aod_programs.is_empty());
-        assert!(json.contains("\"op\":\"translate\""));
-    }
-
-    /// The legacy shim and the builder session produce identical
-    /// artifacts on the square presets (runtime stamps aside, which are
-    /// wall-clock measurements).
-    #[test]
-    fn legacy_shim_matches_builder_session() {
-        let p = small(HardwareParams::mixed(), 6, 25);
-        let c = Qft::new(14).build();
-        let via_shim = legacy(p.clone(), MapperConfig::default())
-            .compile(&c)
-            .unwrap();
-        let via_builder = Compiler::for_target(&p)
-            .mapping(MappingOptions::custom(MapperConfig::default()))
-            .build()
-            .unwrap()
-            .compile(&c)
-            .unwrap();
-        assert_eq!(via_shim.mapped, via_builder.mapped);
-        assert_eq!(via_shim.schedule, via_builder.schedule);
-        assert_eq!(via_shim.metrics, via_builder.metrics);
-        assert_eq!(via_shim.aod_programs, via_builder.aod_programs);
-        assert_eq!(via_shim.comparison, via_builder.comparison);
-        // Byte-identical JSON once the wall-clock stamps are removed.
-        let normalize = |mut p: CompiledProgram| {
-            p.stats.map_runtime = std::time::Duration::ZERO;
-            p.stats.total_runtime = std::time::Duration::ZERO;
-            p.stats.map_phase = std::time::Duration::ZERO;
-            p.stats.schedule_phase = std::time::Duration::ZERO;
-            p.stats.lower_phase = std::time::Duration::ZERO;
-            p.to_json()
-        };
-        assert_eq!(normalize(via_shim), normalize(via_builder));
-    }
-
-    #[test]
-    fn invalid_params_surface_like_before_the_redesign() {
-        let mut p = small(HardwareParams::mixed(), 6, 25);
-        p.r_int = -1.0;
-        #[allow(deprecated)]
-        let err = Pipeline::new(p, MapperConfig::default()).unwrap_err();
-        assert!(matches!(err, PipelineError::Map(MapError::Arch(_))));
-    }
-}

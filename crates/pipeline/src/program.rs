@@ -34,11 +34,9 @@ pub struct CompileStats {
     /// Individual shuttle moves across all transactions.
     pub aod_moves: usize,
     /// Distance-cache and region/corridor counters of the routing
-    /// layer. Counters are cumulative over the compile scratch's
-    /// lifetime: with [`Compiler::compile`](crate::Compiler::compile)
-    /// that is exactly this circuit, while a warm
-    /// [`Compiler::compile_with`](crate::Compiler::compile_with) loop
-    /// accumulates across the circuits sharing the scratch.
+    /// layer for this compile alone: the mapper resets them on entry,
+    /// so a warm [`Compiler::compile_with`](crate::Compiler::compile_with)
+    /// scratch reports exactly what a fresh one would.
     pub route_cache: CacheStats,
 }
 
@@ -46,7 +44,7 @@ pub struct CompileStats {
 /// ASAP-schedule under restriction constraints, AOD lowering, Eq. (1)
 /// metrics) as a single artifact.
 ///
-/// Produced by [`Pipeline::compile`](crate::Pipeline::compile); the
+/// Produced by [`Compiler::compile`](crate::Compiler::compile); the
 /// fused pass guarantees `schedule` is exactly what
 /// [`na_schedule::Scheduler::schedule_mapped`] would produce for
 /// `mapped`, and every program in `aod_programs` has passed

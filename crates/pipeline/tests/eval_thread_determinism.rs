@@ -6,6 +6,8 @@
 //! this test pins that claim at the highest level we ship: the full
 //! `CompiledProgram` JSON rendering.
 
+use std::time::Duration;
+
 use na_arch::HardwareParams;
 use na_circuit::generators::{GraphState, Qaoa, Qft};
 use na_circuit::Circuit;
@@ -39,7 +41,14 @@ fn compile_json(circuit: &Circuit, threads: usize) -> String {
         )
         .build()
         .expect("valid session");
-    compiler.compile(circuit).expect("compiles").to_json()
+    let mut program = compiler.compile(circuit).expect("compiles");
+    // Wall-clock stamps are measurements, not part of the artifact.
+    program.stats.map_runtime = Duration::ZERO;
+    program.stats.total_runtime = Duration::ZERO;
+    program.stats.map_phase = Duration::ZERO;
+    program.stats.schedule_phase = Duration::ZERO;
+    program.stats.lower_phase = Duration::ZERO;
+    program.to_json()
 }
 
 #[test]

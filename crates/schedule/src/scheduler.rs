@@ -399,7 +399,7 @@ impl DeltaGrid {
 /// ```
 /// use na_arch::HardwareParams;
 /// use na_circuit::generators::GraphState;
-/// use na_mapper::{HybridMapper, InitialLayout, MapperConfig};
+/// use na_mapper::{HybridMapper, InitialLayout, MapScratch, MapperConfig};
 /// use na_schedule::IncrementalScheduler;
 ///
 /// let params = HardwareParams::mixed()
@@ -415,7 +415,7 @@ impl DeltaGrid {
 /// let mut inc = IncrementalScheduler::new(
 ///     &params, circuit.num_qubits(), params.num_atoms, InitialLayout::Identity,
 /// );
-/// mapper.map_into(&circuit, &mut inc)?;
+/// mapper.map_into(&circuit, &mut inc, &mut MapScratch::new(), None)?;
 /// let (schedule, metrics) = inc.finish_with_metrics();
 /// assert!(schedule.makespan_us > 0.0);
 /// assert!(metrics.log10_success <= 0.0);
@@ -1285,7 +1285,12 @@ mod tests {
             }
         }
         mapper
-            .map_into(&c, &mut Both(&mut mapped, &mut inc))
+            .map_into(
+                &c,
+                &mut Both(&mut mapped, &mut inc),
+                &mut na_mapper::MapScratch::new(),
+                None,
+            )
             .expect("mappable");
         let fused = inc.finish();
 

@@ -1,8 +1,8 @@
 //! Service observability: latency histograms and request counters.
 //!
 //! Everything here is lock-free (`AtomicU64`) except the route-cache
-//! aggregate, which folds per-job [`CacheStats`] deltas under a mutex
-//! on the worker's (cold) reply path. The histogram uses fixed
+//! aggregate, which folds each compiled program's per-compile
+//! [`CacheStats`] under a mutex on the worker's (cold) reply path. The histogram uses fixed
 //! logarithmic-ish bucket bounds so recording is a single atomic
 //! increment and quantiles are a cheap scan — no allocation, no
 //! per-request sample retention.
@@ -167,20 +167,22 @@ impl ServiceMetrics {
         Self::default()
     }
 
-    /// Folds one job's router distance-cache activity into the
-    /// service-wide aggregate. `before`/`after` are scratch snapshots
-    /// around the compile; counter fields accumulate as deltas while
-    /// `peak_entries` (a high-water mark) folds by max.
-    pub fn add_route_delta(&self, before: CacheStats, after: CacheStats) {
+    /// Folds one compiled program's router distance-cache counters
+    /// (`stats.route_cache`, which covers that compile alone) into the
+    /// service-wide aggregate: counters sum, while `peak_entries` (a
+    /// high-water mark) folds by max. Only returned programs are
+    /// folded, so the cache work of a compile cancelled mid-request is
+    /// not counted.
+    pub fn add_route_cache(&self, stats: &CacheStats) {
         let mut agg = self.route_cache.lock().expect("metrics lock");
-        agg.hits += after.hits - before.hits;
-        agg.misses += after.misses - before.misses;
-        agg.sites_settled += after.sites_settled - before.sites_settled;
-        agg.evictions += after.evictions - before.evictions;
-        agg.peak_entries = agg.peak_entries.max(after.peak_entries);
-        agg.corridor_queries += after.corridor_queries - before.corridor_queries;
-        agg.corridor_pruned += after.corridor_pruned - before.corridor_pruned;
-        agg.regions_touched += after.regions_touched - before.regions_touched;
+        agg.hits += stats.hits;
+        agg.misses += stats.misses;
+        agg.sites_settled += stats.sites_settled;
+        agg.evictions += stats.evictions;
+        agg.peak_entries = agg.peak_entries.max(stats.peak_entries);
+        agg.corridor_queries += stats.corridor_queries;
+        agg.corridor_pruned += stats.corridor_pruned;
+        agg.regions_touched += stats.regions_touched;
     }
 
     /// The service-wide router distance-cache aggregate.
@@ -240,23 +242,24 @@ mod tests {
     }
 
     #[test]
-    fn route_delta_accumulates_counters_and_maxes_peak() {
+    fn route_cache_fold_sums_counters_and_maxes_peak() {
         let m = ServiceMetrics::new();
-        let before = CacheStats::default();
-        let after = CacheStats {
+        m.add_route_cache(&CacheStats {
             hits: 5,
             misses: 2,
             peak_entries: 7,
             ..Default::default()
-        };
-        m.add_route_delta(before, after);
-        let mut later = after;
-        later.hits = 9;
-        later.peak_entries = 4;
-        m.add_route_delta(after, later);
+        });
+        m.add_route_cache(&CacheStats {
+            hits: 4,
+            sites_settled: 30,
+            peak_entries: 4,
+            ..Default::default()
+        });
         let agg = m.route_cache();
         assert_eq!(agg.hits, 9);
         assert_eq!(agg.misses, 2);
+        assert_eq!(agg.sites_settled, 30);
         assert_eq!(agg.peak_entries, 7);
     }
 }

@@ -787,18 +787,12 @@ fn compile_job(inner: &Inner, job: &Job, scratch: &mut CompileScratch) -> String
     match session {
         Ok(compiler) => {
             let cancel = job.deadline.map(CancelToken::with_deadline_at);
-            let before = scratch.map().route().distance_cache().snapshot();
-            let outcome = match &cancel {
-                Some(token) => job.request.run_with_cancel(&compiler, scratch, token),
-                None => Ok(job.request.run_with(&compiler, scratch)),
-            };
-            let after = scratch.map().route().distance_cache().snapshot();
-            inner.metrics.add_route_delta(before, after);
-            match outcome {
+            match job.request.run_with(&compiler, scratch, cancel.as_ref()) {
                 Ok(response) => {
-                    // Fold each compiled program's phase attribution
-                    // into the service-wide counters, then time the
-                    // reply serialization itself — the export phase.
+                    // Fold each compiled program's phase attribution and
+                    // route-cache counters into the service-wide
+                    // aggregates, then time the reply serialization
+                    // itself — the export phase.
                     for compiled in &response.results {
                         if let Ok(program) = &compiled.result {
                             inner.metrics.add_phases(
@@ -806,6 +800,7 @@ fn compile_job(inner: &Inner, job: &Job, scratch: &mut CompileScratch) -> String
                                 program.stats.schedule_phase.as_micros() as u64,
                                 program.stats.lower_phase.as_micros() as u64,
                             );
+                            inner.metrics.add_route_cache(&program.stats.route_cache);
                         }
                     }
                     let export_start = Instant::now();
@@ -823,8 +818,8 @@ fn compile_job(inner: &Inner, job: &Job, scratch: &mut CompileScratch) -> String
                 }
                 Err(e) => {
                     // Only deadline/cancellation stops escape
-                    // `run_with_cancel`; either way the partial
-                    // artifact never reaches the cache.
+                    // `run_with`; either way the partial artifact
+                    // never reaches the cache.
                     if matches!(e, CompileError::DeadlineExceeded) {
                         inner
                             .metrics

@@ -70,8 +70,7 @@
 //! ([`na_mapper::CancelToken`]), per-job panic isolation with a
 //! self-healing worker pool, deadline-aware admission shedding, and a
 //! deterministic fault-injection harness
-//! ([`na_serve::FaultPlan`]). The legacy `Pipeline::new(params,
-//! config)` entry point remains as a deprecated shim.
+//! ([`na_serve::FaultPlan`]).
 
 pub use na_arch as arch;
 pub use na_circuit as circuit;
@@ -99,7 +98,7 @@ pub mod prelude {
     pub use na_pipeline::{
         error_to_json, handle_json, handle_json_document, with_request_id, CompileError,
         CompileRequest, CompileResponse, CompileScratch, CompileStats, CompiledProgram, Compiler,
-        MappingOptions, Pipeline, PipelineError, SchedulingOptions, TargetResolver,
+        MappingOptions, SchedulingOptions, TargetResolver,
     };
     pub use na_schedule::{
         ComparisonReport, IncrementalScheduler, Schedule, ScheduleError, ScheduleMetrics, Scheduler,

@@ -45,8 +45,6 @@ const EXPECTED: &[&str] = &[
     "Neighborhood",
     "OpSink",
     "Operation",
-    "Pipeline",
-    "PipelineError",
     "Qaoa",
     "Qft",
     "Qpe",
@@ -162,9 +160,9 @@ mod resolves {
         ConfigError, FaultPlan, GateKind, GraphState, HardwareParams, HttpOptions, HttpServer,
         HybridMapper, IncrementalScheduler, InitialLayout, Lattice, LatticeKind, MapError,
         MapScratch, MappedCircuit, MappedOp, MapperConfig, MappingOptions, MappingOutcome, Move,
-        NativeGateSet, Neighborhood, OpSink, Operation, Pipeline, PipelineError, Qaoa, Qft, Qpe,
-        Qubit, RandomCircuit, RetryPolicy, Reversible, RoundMode, Schedule, ScheduleError,
-        ScheduleMetrics, Scheduler, SchedulingOptions, ServeConfig, Site, StateJournal,
-        Statevector, SubmitError, Target, TargetResolver, TargetSpec, ZonedTarget,
+        NativeGateSet, Neighborhood, OpSink, Operation, Qaoa, Qft, Qpe, Qubit, RandomCircuit,
+        RetryPolicy, Reversible, RoundMode, Schedule, ScheduleError, ScheduleMetrics, Scheduler,
+        SchedulingOptions, ServeConfig, Site, StateJournal, Statevector, SubmitError, Target,
+        TargetResolver, TargetSpec, ZonedTarget,
     };
 }
