@@ -164,7 +164,6 @@ pub trait Target: fmt::Debug {
     fn spec(&self) -> TargetSpec {
         let lattice = self.lattice();
         let interaction_table = NeighborTable::for_radius(&lattice, self.params().r_int);
-        let region_graph = interaction_table.regions().clone();
         TargetSpec {
             id: self.id(),
             params: self.params().clone(),
@@ -172,7 +171,6 @@ pub trait Target: fmt::Debug {
             aod: self.aod_constraints(),
             gates: self.native_gates(),
             interaction_table,
-            region_graph,
         }
     }
 }
@@ -198,14 +196,6 @@ pub struct TargetSpec {
     /// `(lattice, params.r_int)`, rebuilt (never trusted) by
     /// [`TargetSpec::resolve`] when a spec is assembled from parts.
     pub interaction_table: NeighborTable,
-    /// Coarse R×R clustering of the interaction table — the
-    /// region-level adjacency graph and per-region site slices the
-    /// routing core uses for coarse-to-fine distance queries and
-    /// ring-ordered scans on mega-scale lattices (see
-    /// [`RegionGrid`](crate::adjacency::RegionGrid)). Like the fine
-    /// table, derived data: a pure function of
-    /// `(lattice, params.r_int)`.
-    pub region_graph: crate::adjacency::RegionGrid,
 }
 
 impl TargetSpec {
@@ -220,7 +210,6 @@ impl TargetSpec {
         gates: NativeGateSet,
     ) -> Self {
         let interaction_table = NeighborTable::for_radius(&lattice, params.r_int);
-        let region_graph = interaction_table.regions().clone();
         TargetSpec {
             id,
             params,
@@ -228,7 +217,6 @@ impl TargetSpec {
             aod,
             gates,
             interaction_table,
-            region_graph,
         }
     }
 }

@@ -315,7 +315,7 @@ impl HybridMapper {
         let mut layers = LayerTracker::new(&dag);
         let decider = Decider::new(&self.params, &self.config);
         let mut engine =
-            RoutingEngine::with_table(&self.params, &self.config, self.table_int.clone());
+            RoutingEngine::from_config(&self.params, &self.config, self.table_int.clone());
 
         let mut stats = MapStats::default();
         // Sticky capability assignment: a gate keeps its first decision

@@ -1,8 +1,8 @@
 //! Per-round routing context with cached distance infrastructure.
 //!
-//! Both routers repeatedly need BFS distance fields through the occupied
-//! interaction graph (multi-qubit position finding queries one field per
-//! gate qubit, every routing round). Recomputing them ad hoc was the
+//! Multi-qubit position finding (paper §3.2) needs the hop distance
+//! from every gate qubit to every candidate anchor: one full BFS field
+//! per gate qubit, every routing round. Recomputing them ad hoc was the
 //! hottest redundant work in the mapper: a SWAP permutes the qubit
 //! mapping `f_q` but *never changes trap occupancy*, so every distance
 //! field stays valid across arbitrarily many consecutive SWAP rounds.
@@ -14,15 +14,9 @@
 //! a *different* state can never alias another state's fields). The
 //! vectors of invalidated fields recycle through an internal pool, so
 //! steady-state routing performs BFS into warm buffers instead of
-//! allocating.
-//!
-//! Fields are **resumable**: a target-bounded query
-//! ([`DistanceCache::distances_at`]) settles only the frontier needed to
-//! answer it and parks the partial field (distances + live BFS queue) in
-//! the cache; a later full-field request — or a bounded request about
-//! farther targets — resumes the same search instead of starting over.
-//! BFS expansion runs through the CSR [`NeighborTable`] rather than
-//! per-visit `hood.around` geometry (see [`crate::route::distance`]).
+//! allocating. BFS expansion runs through the CSR [`NeighborTable`]
+//! rather than per-visit `hood.around` geometry (see
+//! [`crate::route::distance`]).
 //!
 //! Speculative candidate simulation (see
 //! [`crate::state::StateJournal`]) deliberately never queries the cache:
@@ -43,16 +37,13 @@ use std::sync::{Arc, Mutex};
 use na_arch::{NeighborTable, Neighborhood, Site};
 use na_circuit::Qubit;
 
-use crate::route::distance::{
-    bfs_drain_resume, bfs_drain_resume_sparse, bfs_occupied_table_into, gate_remaining_distance,
-    region_bfs_into, swap_distance, CorridorMask, SparseDrain, UNREACHABLE,
-};
+use crate::route::distance::{bfs_occupied_table_into, gate_remaining_distance, swap_distance};
 use crate::route::scratch::{GateBufs, RouteScratch, ShuttleBufs};
 use crate::state::{MappingState, StateJournal};
 
-/// Cache of single-source BFS distance fields over the occupied
+/// Cache of dense single-source BFS distance fields over the occupied
 /// interaction graph, invalidated by occupancy stamp, with buffer
-/// pooling across invalidations and resumable partially-settled fields.
+/// pooling across invalidations.
 ///
 /// In the routing hot path the cache lives inside a thread-exclusive
 /// [`RouteScratch`], so the `Mutex` is always uncontended (its cost is
@@ -66,50 +57,27 @@ pub struct DistanceCache {
     fields: Mutex<StampedFields>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Total sites settled by BFS work through this cache — the
-    /// bench-visible measure of how much lattice each query touched.
+    /// Total sites settled by BFS work through this cache.
     settled: AtomicU64,
-}
-
-/// A cached BFS field in one of two lifecycles: fully drained (shared
-/// immutably), or partially settled with its live frontier queue parked
-/// for resumption. Partial fields store a **sparse settled-map** keyed
-/// by dense site index — a bounded query that settles a dozen frontier
-/// sites on a 100×100 lattice costs a dozen map entries, not a
-/// 10,000-slot dense vector plus an `O(num_sites)` memset.
-#[derive(Debug)]
-enum FieldKind {
-    /// Completed field — every reachable site settled, `UNREACHABLE`
-    /// entries are final. Dense: full fields are indexed site-by-site
-    /// in the routers' hot loops.
-    Full(Arc<Vec<u32>>),
-    /// Partially settled field: absent sites are merely *not yet*
-    /// settled while `queue` is non-empty.
-    Partial {
-        dist: HashMap<u32, u32>,
-        queue: VecDeque<u32>,
-    },
 }
 
 /// A cached field plus its LRU clock reading (see
 /// [`DistanceCache::MAX_RESIDENT_FIELDS`]).
 #[derive(Debug)]
 struct FieldEntry {
-    kind: FieldKind,
+    field: Arc<Vec<u32>>,
     last_used: u64,
 }
 
 /// Start-site index → distance field, tagged with the occupancy stamp
 /// the fields were computed at (0 = nothing cached yet; real stamps are
-/// never zero). Retired field vectors, settled-maps and frontier queues
-/// are pooled for reuse; the region-BFS scratch of corridor computation
-/// lives here too so bounded queries stay allocation-free.
+/// never zero). Retired field vectors and BFS queues are pooled for
+/// reuse.
 #[derive(Debug, Default)]
 struct StampedFields {
     stamp: u64,
     by_start: HashMap<usize, FieldEntry>,
     pool: Vec<Vec<u32>>,
-    sparse_pool: Vec<HashMap<u32, u32>>,
     queue_pool: Vec<VecDeque<u32>>,
     /// Monotone LRU clock; bumped on every publish or cache hit.
     use_clock: u64,
@@ -118,77 +86,37 @@ struct StampedFields {
     peak_entries: u64,
     /// Entries evicted by the LRU cap.
     evictions: u64,
-    /// Bounded queries that ran with a corridor mask.
-    corridor_queries: u64,
-    /// Bounded queries whose corridor actually pruned sites (or
-    /// short-circuited to `UNREACHABLE` without any fine BFS).
-    corridor_pruned: u64,
-    /// Total regions entered by corridor-masked drains (the
-    /// `regions_touched_per_query` numerator).
-    regions_touched: u64,
-    /// Region-BFS distance scratch of the current corridor.
-    region_dist: Vec<u32>,
-    region_queue: VecDeque<u32>,
-    /// Seed buffer: regions of the pending targets.
-    region_seeds: Vec<u32>,
-    /// Per-region "seen in query N" stamps for region-touch counting.
-    region_seen: Vec<u64>,
-    /// Current query stamp for `region_seen`.
-    qstamp: u64,
 }
 
 impl StampedFields {
-    /// Retires every field of a stale stamp generation into the pools.
+    /// Retires every field of a stale stamp generation into the pool.
     fn retire_stale(&mut self, stamp: u64) {
         if self.stamp == stamp {
             return;
         }
         for (_, entry) in self.by_start.drain() {
-            Self::recycle(
-                entry.kind,
-                &mut self.pool,
-                &mut self.sparse_pool,
-                &mut self.queue_pool,
-            );
+            Self::recycle(entry.field, &mut self.pool);
         }
         self.stamp = stamp;
     }
 
-    /// Returns a retired field's buffers to the pools (a full field
-    /// only when no outstanding `Arc` still shares it).
-    fn recycle(
-        kind: FieldKind,
-        pool: &mut Vec<Vec<u32>>,
-        sparse_pool: &mut Vec<HashMap<u32, u32>>,
-        queue_pool: &mut Vec<VecDeque<u32>>,
-    ) {
-        match kind {
-            FieldKind::Full(field) => {
-                if let Ok(v) = Arc::try_unwrap(field) {
-                    pool.push(v);
-                }
-            }
-            FieldKind::Partial {
-                mut dist,
-                mut queue,
-            } => {
-                dist.clear();
-                sparse_pool.push(dist);
-                queue.clear();
-                queue_pool.push(queue);
-            }
+    /// Returns a retired field's vector to the pool, unless an
+    /// outstanding `Arc` still shares it.
+    fn recycle(field: Arc<Vec<u32>>, pool: &mut Vec<Vec<u32>>) {
+        if let Ok(v) = Arc::try_unwrap(field) {
+            pool.push(v);
         }
     }
 
-    /// Publishes an entry under the LRU clock and enforces
+    /// Publishes a field under the LRU clock and enforces
     /// [`DistanceCache::MAX_RESIDENT_FIELDS`] by evicting the
     /// least-recently-used entry while over the cap.
-    fn publish(&mut self, key: usize, kind: FieldKind) {
+    fn publish(&mut self, key: usize, field: Arc<Vec<u32>>) {
         self.use_clock += 1;
         self.by_start.insert(
             key,
             FieldEntry {
-                kind,
+                field,
                 last_used: self.use_clock,
             },
         );
@@ -200,12 +128,7 @@ impl StampedFields {
                 .map(|(&k, _)| k)
                 .expect("non-empty over cap");
             if let Some(entry) = self.by_start.remove(&oldest) {
-                Self::recycle(
-                    entry.kind,
-                    &mut self.pool,
-                    &mut self.sparse_pool,
-                    &mut self.queue_pool,
-                );
+                Self::recycle(entry.field, &mut self.pool);
             }
             self.evictions += 1;
         }
@@ -217,12 +140,18 @@ impl StampedFields {
 /// single struct the bench tier and the job layer serialize (see
 /// `na-schedule`'s export module), so new counters only have to be
 /// added in one place.
+///
+/// Only multi-qubit (arity ≥ 3) position finding queries the cache, so
+/// a compile whose gates are all two-qubit, or whose multi-qubit gates
+/// all route by shuttling, reports `hits == misses == 0` by design.
+/// Occupancy changes only through committed shuttle moves, so on a
+/// gate-only compile every miss is exactly one full BFS over the
+/// occupied graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Queries answered from a cached (full or sufficiently settled
-    /// partial) field.
+    /// Queries answered from a cached field.
     pub hits: u64,
-    /// Queries that ran (or resumed) BFS work.
+    /// Queries that ran a BFS.
     pub misses: u64,
     /// Total sites settled by BFS work through the cache.
     pub sites_settled: u64,
@@ -231,35 +160,19 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Peak number of simultaneously resident field entries.
     pub peak_entries: u64,
-    /// Bounded queries that armed a region corridor (had at least one
-    /// unsettled target).
+    /// Always 0: the corridor-pruned bounded query it counted is gone.
+    /// Kept only because the benchmark harness still reads it; it goes
+    /// with the serde stubs in the next benchmark change.
     pub corridor_queries: u64,
-    /// Corridor-armed queries whose corridor actually pruned — skipped
-    /// region-unreachable sites, or answered `UNREACHABLE` outright
-    /// from the region graph without any fine BFS.
+    /// Always 0, for the same reason as
+    /// [`CacheStats::corridor_queries`].
     pub corridor_pruned: u64,
-    /// Total distinct regions entered across all corridor-armed drains.
-    pub regions_touched: u64,
-}
-
-impl CacheStats {
-    /// Mean number of coarse regions a corridor-armed bounded query
-    /// entered (`0.0` before any corridor query ran). On paper-sized
-    /// lattices this stays near 1–2 while the region grid covers
-    /// hundreds of regions — the coarse-to-fine locality win.
-    pub fn regions_touched_per_query(&self) -> f64 {
-        if self.corridor_queries == 0 {
-            0.0
-        } else {
-            self.regions_touched as f64 / self.corridor_queries as f64
-        }
-    }
 }
 
 impl DistanceCache {
     /// The configured cap on resident field entries: publishing past
-    /// the cap evicts the least-recently-used entry (its buffers return
-    /// to the pools). Bounds cache memory at
+    /// the cap evicts the least-recently-used entry (its buffer returns
+    /// to the pool). Bounds cache memory at
     /// `MAX_RESIDENT_FIELDS × num_sites × 4 B` worst case regardless of
     /// how many distinct sources a mega-scale circuit queries —
     /// ~10 MiB on a 100×100 lattice instead of one dense field per
@@ -273,276 +186,37 @@ impl DistanceCache {
     }
 
     /// The complete BFS distance field from `start` through occupied
-    /// sites of `state`, computing — or *resuming* a partially settled
-    /// field — on first use per occupancy stamp. Computation reuses
-    /// pooled buffers from previously invalidated generations.
+    /// sites of `state`, computed on first use per occupancy stamp.
+    /// Computation reuses pooled buffers from previously invalidated
+    /// generations.
     pub fn field(&self, state: &MappingState, table: &NeighborTable, start: Site) -> Arc<Vec<u32>> {
         let key = state.lattice().index(start);
-        let (mut buf, mut queue, sparse);
+        let (mut buf, mut queue);
         {
             let mut guard = self.fields.lock().expect("cache lock");
             let inner = &mut *guard;
             inner.retire_stale(state.occupancy_stamp());
-            match inner.by_start.remove(&key) {
-                Some(FieldEntry {
-                    kind: FieldKind::Full(field),
-                    ..
-                }) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    let out = Arc::clone(&field);
-                    inner.use_clock += 1;
-                    let last_used = inner.use_clock;
-                    inner.by_start.insert(
-                        key,
-                        FieldEntry {
-                            kind: FieldKind::Full(field),
-                            last_used,
-                        },
-                    );
-                    return out;
-                }
-                Some(FieldEntry {
-                    kind: FieldKind::Partial { dist, queue: q },
-                    ..
-                }) => {
-                    buf = inner.pool.pop().unwrap_or_default();
-                    queue = q;
-                    sparse = Some(dist);
-                }
-                None => {
-                    buf = inner.pool.pop().unwrap_or_default();
-                    queue = inner.queue_pool.pop().unwrap_or_default();
-                    sparse = None;
-                }
+            if let Some(entry) = inner.by_start.get_mut(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                inner.use_clock += 1;
+                entry.last_used = inner.use_clock;
+                return Arc::clone(&entry.field);
             }
+            buf = inner.pool.pop().unwrap_or_default();
+            queue = inner.queue_pool.pop().unwrap_or_default();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let settled = if let Some(map) = &sparse {
-            // Promote the sparse partial field to a dense one and
-            // resume its parked frontier to completion.
-            buf.clear();
-            buf.resize(state.lattice().num_sites(), UNREACHABLE);
-            for (&site, &d) in map {
-                buf[site as usize] = d;
-            }
-            bfs_drain_resume(state, table, &mut buf, &mut queue, &[])
-        } else {
-            bfs_occupied_table_into(state, &[start], table, &mut buf, &mut queue)
-        };
+        let settled = bfs_occupied_table_into(state, &[start], table, &mut buf, &mut queue);
         self.settled.fetch_add(settled as u64, Ordering::Relaxed);
         let field = Arc::new(buf);
         let mut guard = self.fields.lock().expect("cache lock");
-        let inner = &mut *guard;
         // Another thread may have advanced the stamp while we computed;
         // only publish a field for the stamp it belongs to.
-        if inner.stamp == state.occupancy_stamp() {
-            inner.publish(key, FieldKind::Full(Arc::clone(&field)));
+        if guard.stamp == state.occupancy_stamp() {
+            guard.publish(key, Arc::clone(&field));
         }
-        inner.queue_pool.push(queue);
-        if let Some(mut map) = sparse {
-            map.clear();
-            inner.sparse_pool.push(map);
-        }
+        guard.queue_pool.push(queue);
         field
-    }
-
-    /// Target-bounded distance query: writes the hop distance from
-    /// `start` to each site of `targets` into `out` (parallel to
-    /// `targets`, `UNREACHABLE` for disconnected ones), running — or
-    /// resuming — only as much BFS as the targets require. The partially
-    /// settled field stays cached for later queries of the same
-    /// occupancy generation.
-    ///
-    /// Queries are **coarse-to-fine**: a region-level BFS over the
-    /// lattice's [`na_arch::RegionGrid`] runs first (hundreds of
-    /// regions, not thousands of sites), and the fine BFS is restricted
-    /// to the corridor of regions that can lie on a path to a pending
-    /// target. Because region distance lower-bounds fine distance (see
-    /// [`region_bfs_into`]), the pruning is *admissible*: every
-    /// returned distance — including `UNREACHABLE` — is exactly what
-    /// the unpruned [`bfs_occupied_bounded_into`] would report. On a
-    /// connected lattice the corridor never prunes (every region
-    /// reaches every other), so results, settle counts and hit/miss
-    /// accounting are identical to the unpruned path; on disconnected
-    /// topologies (zoned lattices whose gap exceeds the interaction
-    /// radius) an unreachable-target query short-circuits at the region
-    /// level instead of flooding the start's whole component.
-    ///
-    /// [`bfs_occupied_bounded_into`]: crate::route::distance::bfs_occupied_bounded_into
-    pub fn distances_at(
-        &self,
-        state: &MappingState,
-        table: &NeighborTable,
-        start: Site,
-        targets: &[Site],
-        out: &mut Vec<u32>,
-    ) {
-        let lattice = state.lattice();
-        let key = lattice.index(start);
-        out.clear();
-        let (mut dist, mut queue, fresh);
-        let (mut region_dist, mut region_queue, mut region_seeds, mut region_seen, qstamp);
-        {
-            let mut guard = self.fields.lock().expect("cache lock");
-            let inner = &mut *guard;
-            inner.retire_stale(state.occupancy_stamp());
-            match inner.by_start.remove(&key) {
-                Some(FieldEntry {
-                    kind: FieldKind::Full(field),
-                    ..
-                }) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    out.extend(targets.iter().map(|&t| field[lattice.index(t)]));
-                    inner.use_clock += 1;
-                    let last_used = inner.use_clock;
-                    inner.by_start.insert(
-                        key,
-                        FieldEntry {
-                            kind: FieldKind::Full(field),
-                            last_used,
-                        },
-                    );
-                    return;
-                }
-                Some(FieldEntry {
-                    kind: FieldKind::Partial { dist: d, queue: q },
-                    ..
-                }) => {
-                    // Already settled everywhere we need? Serve without
-                    // resuming (settled entries of a partial field are
-                    // final).
-                    if targets
-                        .iter()
-                        .all(|&t| d.contains_key(&(lattice.index(t) as u32)))
-                    {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        out.extend(targets.iter().map(|&t| d[&(lattice.index(t) as u32)]));
-                        inner.use_clock += 1;
-                        let last_used = inner.use_clock;
-                        inner.by_start.insert(
-                            key,
-                            FieldEntry {
-                                kind: FieldKind::Partial { dist: d, queue: q },
-                                last_used,
-                            },
-                        );
-                        return;
-                    }
-                    dist = d;
-                    queue = q;
-                    fresh = false;
-                }
-                None => {
-                    dist = inner.sparse_pool.pop().unwrap_or_default();
-                    queue = inner.queue_pool.pop().unwrap_or_default();
-                    fresh = true;
-                }
-            }
-            // Borrow the corridor scratch out of the lock for the
-            // drain; returned (and counters folded in) at publish time.
-            region_dist = std::mem::take(&mut inner.region_dist);
-            region_queue = std::mem::take(&mut inner.region_queue);
-            region_seeds = std::mem::take(&mut inner.region_seeds);
-            region_seen = std::mem::take(&mut inner.region_seen);
-            inner.qstamp += 1;
-            qstamp = inner.qstamp;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if fresh {
-            dist.clear();
-            queue.clear();
-            dist.insert(key as u32, 0);
-            queue.push_back(key as u32);
-            self.settled.fetch_add(1, Ordering::Relaxed);
-        }
-        // Coarse pass: region-BFS from the pending targets' regions.
-        let grid = table.regions();
-        region_seeds.clear();
-        for &t in targets {
-            let idx = lattice.index(t);
-            if !dist.contains_key(&(idx as u32)) {
-                region_seeds.push(grid.region_of(idx));
-            }
-        }
-        let armed = !region_seeds.is_empty();
-        let mut drain = SparseDrain::default();
-        let mut region_shortcut = false;
-        if armed {
-            region_bfs_into(grid, &region_seeds, &mut region_dist, &mut region_queue);
-            if region_seen.len() < grid.num_regions() {
-                region_seen.resize(grid.num_regions(), 0);
-            }
-            if region_dist[grid.region_of(key) as usize] == UNREACHABLE {
-                // The start's region cannot reach any pending target's
-                // region, so no fine path exists either (admissible
-                // lower bound): answer UNREACHABLE without touching the
-                // fine lattice, leaving the parked field untouched.
-                region_shortcut = true;
-            } else {
-                let corridor = CorridorMask {
-                    grid,
-                    to_targets: &region_dist,
-                };
-                drain = bfs_drain_resume_sparse(
-                    state,
-                    table,
-                    &mut dist,
-                    &mut queue,
-                    targets,
-                    &corridor,
-                    &mut region_seen,
-                    qstamp,
-                );
-            }
-        }
-        self.settled
-            .fetch_add(drain.settled as u64, Ordering::Relaxed);
-        out.extend(targets.iter().map(|&t| {
-            dist.get(&(lattice.index(t) as u32))
-                .copied()
-                .unwrap_or(UNREACHABLE)
-        }));
-        let complete = queue.is_empty();
-        let mut guard = self.fields.lock().expect("cache lock");
-        let inner = &mut *guard;
-        inner.region_dist = region_dist;
-        inner.region_queue = region_queue;
-        inner.region_seeds = region_seeds;
-        inner.region_seen = region_seen;
-        if armed {
-            inner.corridor_queries += 1;
-            inner.regions_touched += u64::from(drain.regions_touched);
-            if drain.pruned || region_shortcut {
-                inner.corridor_pruned += 1;
-            }
-        }
-        if inner.stamp != state.occupancy_stamp() || drain.pruned {
-            // Recycle rather than park: either the stamp advanced while
-            // we computed (dead generation), or the corridor pruned —
-            // a pruned frontier is only exact for *this* query's
-            // targets and must not be resumed under different ones.
-            dist.clear();
-            inner.sparse_pool.push(dist);
-            queue.clear();
-            inner.queue_pool.push(queue);
-        } else if complete {
-            // The frontier is exhausted without pruning: every
-            // reachable site is settled — promote to a dense full
-            // field so later full-field requests hit outright.
-            let mut buf = inner.pool.pop().unwrap_or_default();
-            buf.clear();
-            buf.resize(lattice.num_sites(), UNREACHABLE);
-            for (&site, &d) in &dist {
-                buf[site as usize] = d;
-            }
-            inner.publish(key, FieldKind::Full(Arc::new(buf)));
-            dist.clear();
-            inner.sparse_pool.push(dist);
-            queue.clear();
-            inner.queue_pool.push(queue);
-        } else {
-            inner.publish(key, FieldKind::Partial { dist, queue });
-        }
     }
 
     /// Zeroes every counter [`DistanceCache::snapshot`] reports, so the
@@ -557,9 +231,6 @@ impl DistanceCache {
         let inner = self.fields.get_mut().expect("cache lock");
         inner.peak_entries = 0;
         inner.evictions = 0;
-        inner.corridor_queries = 0;
-        inner.corridor_pruned = 0;
-        inner.regions_touched = 0;
     }
 
     /// `(hits, misses)` counters since construction or the last reset
@@ -572,8 +243,7 @@ impl DistanceCache {
     }
 
     /// Snapshot of every cache counter — hit/miss/settle totals plus
-    /// the memory-bound (evictions, peak residency) and coarse-to-fine
-    /// (corridor) statistics.
+    /// the memory-bound statistics (evictions, peak residency).
     pub fn snapshot(&self) -> CacheStats {
         let inner = self.fields.lock().expect("cache lock");
         CacheStats {
@@ -582,20 +252,12 @@ impl DistanceCache {
             sites_settled: self.settled.load(Ordering::Relaxed),
             evictions: inner.evictions,
             peak_entries: inner.peak_entries,
-            corridor_queries: inner.corridor_queries,
-            corridor_pruned: inner.corridor_pruned,
-            regions_touched: inner.regions_touched,
+            corridor_queries: 0,
+            corridor_pruned: 0,
         }
     }
 
-    /// Total sites settled by BFS work through this cache since
-    /// construction or the last reset — bounded queries settle a
-    /// frontier, full fields settle every reachable site.
-    pub fn sites_settled(&self) -> u64 {
-        self.settled.load(Ordering::Relaxed)
-    }
-
-    /// Number of fields currently cached (full or partial).
+    /// Number of fields currently cached.
     pub fn len(&self) -> usize {
         self.fields.lock().expect("cache lock").by_start.len()
     }
@@ -717,20 +379,6 @@ impl<'a> RoutingContext<'a> {
     /// Cached BFS distance field from the atom carrying `q`.
     pub fn distances_from_qubit(&self, q: Qubit) -> Arc<Vec<u32>> {
         self.distances_from(self.state.site_of_qubit(q))
-    }
-
-    /// Target-bounded hop distances from `start` to each of `targets`,
-    /// written into `out` — settles only the BFS frontier the targets
-    /// require (resumable; see [`DistanceCache::distances_at`]). Same
-    /// speculation contract as [`RoutingContext::distances_from`].
-    pub fn distances_to(&self, start: Site, targets: &[Site], out: &mut Vec<u32>) {
-        debug_assert!(
-            !self.speculation_in_flight(),
-            "distance cache queried during speculative simulation"
-        );
-        self.scratch
-            .cache
-            .distances_at(self.state, self.table_int, start, targets, out);
     }
 
     /// Fractional SWAP distance between the sites of two qubits.
@@ -878,56 +526,6 @@ mod tests {
             let direct = bfs_occupied(&reference, &[start], &hood);
             assert_eq!(*cached, direct);
         }
-    }
-
-    #[test]
-    fn bounded_query_settles_frontier_then_resumes_to_full() {
-        let (state, hood, table) = setup();
-        let cache = DistanceCache::new();
-        // Nearby target: only a frontier around the start settles.
-        let mut out = Vec::new();
-        cache.distances_at(
-            &state,
-            &table,
-            Site::new(0, 0),
-            &[Site::new(1, 0)],
-            &mut out,
-        );
-        assert_eq!(out, vec![1]);
-        let after_bounded = cache.sites_settled();
-        assert!(
-            (after_bounded as usize) < state.num_atoms(),
-            "bounded query must not settle the whole occupied graph \
-             ({after_bounded} settled)"
-        );
-        // Upgrading to the full field resumes the same search ...
-        let full = cache.field(&state, &table, Site::new(0, 0));
-        let reference = bfs_occupied(&state, &[Site::new(0, 0)], &hood);
-        assert_eq!(*full, reference);
-        // ... and total settle work equals one full BFS (every occupied
-        // site settled exactly once across both calls).
-        assert_eq!(cache.sites_settled() as usize, state.num_atoms());
-    }
-
-    #[test]
-    fn bounded_query_served_from_partial_field_is_a_hit() {
-        let (state, _, table) = setup();
-        let cache = DistanceCache::new();
-        let mut out = Vec::new();
-        let far = Site::new(4, 3); // occupied (20 atoms on 5x5)
-        cache.distances_at(&state, &table, Site::new(0, 0), &[far], &mut out);
-        let (h0, m0) = cache.stats();
-        assert_eq!((h0, m0), (0, 1));
-        // A nearer target is already settled: no BFS, a hit.
-        cache.distances_at(
-            &state,
-            &table,
-            Site::new(0, 0),
-            &[Site::new(1, 0)],
-            &mut out,
-        );
-        assert_eq!(out, vec![1]);
-        assert_eq!(cache.stats(), (1, 1));
     }
 
     #[test]

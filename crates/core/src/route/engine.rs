@@ -73,21 +73,11 @@ impl RoutingEngine {
     /// the gate-based router, matching the decider's `GateBased`
     /// short-circuit for that degenerate case.
     ///
-    /// Resolves the CSR interaction adjacency of the full square
-    /// lattice of `params`; use [`RoutingEngine::with_table`] for other
-    /// topologies.
-    pub fn from_config(params: &HardwareParams, config: &MapperConfig) -> Self {
-        let lattice = Lattice::new(params.lattice_side);
-        let table = NeighborTable::build(&lattice, &Neighborhood::new(params.r_int));
-        RoutingEngine::with_table(params, config, table)
-    }
-
-    /// [`RoutingEngine::from_config`] consuming an already-resolved CSR
-    /// table of any trap topology (e.g. the one a
-    /// [`na_arch::TargetSpec`] carries), so callers that hold one never
-    /// pay the rebuild and routing rounds never pay geometry math per
-    /// neighbor visit.
-    pub fn with_table(
+    /// `table` is the CSR interaction adjacency at `params.r_int` of the
+    /// topology the engine routes on (e.g. the one a
+    /// [`na_arch::TargetSpec`] carries), so routing rounds never pay
+    /// geometry math per neighbor visit.
+    pub fn from_config(
         params: &HardwareParams,
         config: &MapperConfig,
         table: NeighborTable,
@@ -646,6 +636,12 @@ mod tests {
             .expect("valid")
     }
 
+    /// [`RoutingEngine::from_config`] over the full square lattice of `p`.
+    fn engine(p: &HardwareParams, config: &MapperConfig) -> RoutingEngine {
+        let table = NeighborTable::for_radius(&Lattice::new(p.lattice_side), p.r_int);
+        RoutingEngine::from_config(p, config, table)
+    }
+
     fn gate(op_index: usize, qubits: &[u32], capability: Capability) -> FrontierGate {
         FrontierGate {
             op_index,
@@ -658,16 +654,16 @@ mod tests {
     fn from_config_registers_by_alphas() {
         let p = params(5, 20, 1.0);
         assert_eq!(
-            RoutingEngine::from_config(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"))
+            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"))
                 .routers()
                 .len(),
             2
         );
-        let gate_only = RoutingEngine::from_config(&p, &MapperConfig::gate_only());
+        let gate_only = engine(&p, &MapperConfig::gate_only());
         assert_eq!(gate_only.routers().len(), 1);
         assert_eq!(gate_only.fallback_capability(), None);
         let hybrid =
-            RoutingEngine::from_config(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         assert_eq!(hybrid.fallback_capability(), Some(Capability::Shuttling));
     }
 
@@ -682,7 +678,7 @@ mod tests {
             alpha_shuttle: 0.0,
             ..MapperConfig::default()
         };
-        let mut engine = RoutingEngine::from_config(&p, &config);
+        let mut engine = engine(&p, &config);
         assert_eq!(engine.routers().len(), 1);
         let mut state = MappingState::identity(&p, 24).expect("fits");
         let frontier = [gate(0, &[0, 12], Capability::GateBased)];
@@ -699,7 +695,7 @@ mod tests {
         let p = params(5, 24, 1.0);
         let mut state = MappingState::identity(&p, 24).expect("fits");
         let mut engine =
-            RoutingEngine::from_config(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         let frontier = [
             gate(0, &[0, 12], Capability::GateBased),
             gate(1, &[3, 20], Capability::Shuttling),
@@ -718,7 +714,7 @@ mod tests {
         let p = params(5, 20, 1.0);
         let mut state = MappingState::identity(&p, 20).expect("fits");
         let mut engine =
-            RoutingEngine::from_config(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         let frontier = [gate(0, &[0, 19], Capability::Shuttling)];
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(20, 20);
@@ -746,7 +742,7 @@ mod tests {
         let p = params(7, 4, 1.0);
         let mut state = isolated_pair_state(&p);
         let mut engine =
-            RoutingEngine::from_config(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         let frontier = [gate(0, &[0, 1], Capability::GateBased)];
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(4, 4);
@@ -761,7 +757,7 @@ mod tests {
     fn single_router_engine_reports_stuck_gate() {
         let p = params(7, 4, 1.0);
         let mut state = isolated_pair_state(&p);
-        let mut engine = RoutingEngine::from_config(&p, &MapperConfig::gate_only());
+        let mut engine = engine(&p, &MapperConfig::gate_only());
         let frontier = [gate(9, &[0, 1], Capability::GateBased)];
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(4, 4);
@@ -777,7 +773,7 @@ mod tests {
         // round must service both (conflict sets cannot overlap).
         let p = params(8, 40, 1.0);
         let mut state = MappingState::identity(&p, 40).expect("fits");
-        let mut engine = RoutingEngine::from_config(&p, &MapperConfig::gate_only());
+        let mut engine = engine(&p, &MapperConfig::gate_only());
         let frontier = [
             gate(0, &[0, 18], Capability::GateBased),
             gate(1, &[5, 30], Capability::GateBased),
@@ -806,7 +802,7 @@ mod tests {
         // never weaker than a single round.
         let p = params(5, 24, 1.0);
         let mut state = MappingState::identity(&p, 24).expect("fits");
-        let mut engine = RoutingEngine::from_config(&p, &MapperConfig::gate_only());
+        let mut engine = engine(&p, &MapperConfig::gate_only());
         let frontier = [gate(0, &[0, 12], Capability::GateBased)];
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(24, 24);
@@ -827,7 +823,7 @@ mod tests {
         ];
         let run = |threads: usize| {
             let mut state = MappingState::identity(&p, 40).expect("fits");
-            let mut engine = RoutingEngine::from_config(&p, &MapperConfig::gate_only());
+            let mut engine = engine(&p, &MapperConfig::gate_only());
             let mut scratch = RouteScratch::new();
             let mut out = MappedCircuit::new(40, 40);
             let report = engine
@@ -860,7 +856,7 @@ mod tests {
     fn speculative_round_reports_stuck_gate() {
         let p = params(7, 4, 1.0);
         let mut state = isolated_pair_state(&p);
-        let mut engine = RoutingEngine::from_config(&p, &MapperConfig::gate_only());
+        let mut engine = engine(&p, &MapperConfig::gate_only());
         let frontier = [gate(9, &[0, 1], Capability::GateBased)];
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(4, 4);
@@ -875,7 +871,7 @@ mod tests {
         let p = params(5, 24, 1.0);
         let mut state = MappingState::identity(&p, 24).expect("fits");
         let mut engine =
-            RoutingEngine::from_config(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         let frontier = [gate(0, &[0, 23], Capability::GateBased)];
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(24, 24);

@@ -17,7 +17,7 @@
 //! 3. **Source guard**: no `MappingState` clone remains in the
 //!    candidate-evaluation path of the shuttle router.
 
-use na_arch::{HardwareParams, Lattice, Neighborhood, Site};
+use na_arch::{HardwareParams, Lattice, NeighborTable, Neighborhood, Site};
 use na_circuit::generators::{GraphState, Qft};
 use na_circuit::{decompose_to_native, Circuit, Qubit};
 use na_mapper::decision::Decider;
@@ -113,6 +113,7 @@ proptest! {
             let mut engine = RoutingEngine::from_config(
                 &p,
                 &MapperConfig::try_hybrid(1.0).expect("valid alpha"),
+                NeighborTable::for_radius(state.lattice(), p.r_int),
             );
             let mut scratch = RouteScratch::new();
             let mut out = MappedCircuit::new(40, 40);

@@ -779,6 +779,16 @@ mod tests {
         }
         let busy = gate_only.compile(&jobs[3].1).unwrap().stats.route_cache;
         assert!(busy.hits > 0, "the random circuit must exercise the cache");
+        // Gate-only routing never moves an atom, so occupancy never
+        // changes and every miss is one full BFS over all 200 atoms.
+        assert_eq!(busy.sites_settled, busy.misses * 200);
+        // Only arity-≥3 position finding queries the cache: QFT-14 has
+        // no such gate, so it never touches the cache although it
+        // shuttles.
+        let qft = compiler.compile(&jobs[0].1).unwrap();
+        assert!(qft.mapped.shuttle_count() > 0);
+        let qft_cache = qft.stats.route_cache;
+        assert_eq!(qft_cache.hits + qft_cache.misses, 0);
     }
 
     #[test]

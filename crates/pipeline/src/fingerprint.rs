@@ -93,8 +93,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// compilation output — physics parameters, topology, AOD constraints
 /// and native gate set — via the job layer's canonical target JSON.
 ///
-/// Derived data ([`TargetSpec::interaction_table`], the region graph)
-/// is a pure function of the hashed fields and deliberately not
+/// Derived data ([`TargetSpec::interaction_table`] and the region grid
+/// it carries) is a pure function of the hashed fields and deliberately not
 /// hashed; two specs with equal descriptions hash equal even if one
 /// was resolved and the other assembled by hand.
 pub fn target_fingerprint(spec: &TargetSpec) -> u64 {

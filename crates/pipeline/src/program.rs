@@ -33,9 +33,9 @@ pub struct CompileStats {
     pub aod_batches: usize,
     /// Individual shuttle moves across all transactions.
     pub aod_moves: usize,
-    /// Distance-cache and region/corridor counters of the routing
-    /// layer for this compile alone: the mapper resets them on entry,
-    /// so a warm [`Compiler::compile_with`](crate::Compiler::compile_with)
+    /// Distance-cache counters of the routing layer for this compile
+    /// alone: the mapper resets them on entry, so a warm
+    /// [`Compiler::compile_with`](crate::Compiler::compile_with)
     /// scratch reports exactly what a fresh one would.
     pub route_cache: CacheStats,
 }

@@ -218,30 +218,18 @@ pub fn map_stats_to_json(s: &MapStats) -> String {
     )
 }
 
-/// Serializes the routing-layer [`CacheStats`] (distance-cache and
-/// region/corridor counters of the hierarchical router) as a JSON
-/// object.
+/// Serializes the routing-layer [`CacheStats`] (distance-cache
+/// counters) as a JSON object.
 ///
 /// Key names match the benchmark baseline (`BENCH_routing.json`) so the
 /// regression guard's flat key scanner finds them whether they come
-/// from a compiled program or a bench run: `cache_evictions`,
-/// `cache_peak_entries` and `regions_touched_per_query` are the
-/// watched names.
+/// from a compiled program or a bench run: `cache_evictions` and
+/// `cache_peak_entries` are the watched names.
 pub fn cache_stats_to_json(s: &CacheStats) -> String {
     format!(
         "{{\"hits\":{},\"misses\":{},\"sites_settled\":{},\
-         \"cache_evictions\":{},\"cache_peak_entries\":{},\
-         \"corridor_queries\":{},\"corridor_pruned\":{},\
-         \"regions_touched\":{},\"regions_touched_per_query\":{}}}",
-        s.hits,
-        s.misses,
-        s.sites_settled,
-        s.evictions,
-        s.peak_entries,
-        s.corridor_queries,
-        s.corridor_pruned,
-        s.regions_touched,
-        json_f64(s.regions_touched_per_query()),
+         \"cache_evictions\":{},\"cache_peak_entries\":{}}}",
+        s.hits, s.misses, s.sites_settled, s.evictions, s.peak_entries,
     )
 }
 
@@ -471,16 +459,14 @@ mod tests {
             sites_settled: 1200,
             evictions: 3,
             peak_entries: 96,
-            corridor_queries: 4,
-            corridor_pruned: 2,
-            regions_touched: 36,
+            ..Default::default()
         };
         let json = cache_stats_to_json(&stats);
-        assert!(json.contains("\"cache_evictions\":3"));
-        assert!(json.contains("\"cache_peak_entries\":96"));
-        assert!(json.contains("\"regions_touched_per_query\":9"));
-        let zero = cache_stats_to_json(&CacheStats::default());
-        assert!(zero.contains("\"regions_touched_per_query\":0"));
+        assert_eq!(
+            json,
+            "{\"hits\":10,\"misses\":4,\"sites_settled\":1200,\
+             \"cache_evictions\":3,\"cache_peak_entries\":96}"
+        );
     }
 
     #[test]

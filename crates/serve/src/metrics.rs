@@ -180,9 +180,6 @@ impl ServiceMetrics {
         agg.sites_settled += stats.sites_settled;
         agg.evictions += stats.evictions;
         agg.peak_entries = agg.peak_entries.max(stats.peak_entries);
-        agg.corridor_queries += stats.corridor_queries;
-        agg.corridor_pruned += stats.corridor_pruned;
-        agg.regions_touched += stats.regions_touched;
     }
 
     /// The service-wide router distance-cache aggregate.

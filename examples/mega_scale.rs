@@ -1,7 +1,7 @@
 //! Mega-scale compilation: QFT-128 on a 100×100 lattice hosting 4500
 //! atoms — an order of magnitude past the paper's evaluation machine,
-//! the scale the hierarchical coarse-to-fine routing layer (region
-//! grid, corridor-bounded BFS, LRU-capped distance cache) targets.
+//! the scale the hierarchical routing layer (region grid ring walks,
+//! LRU-capped distance cache) targets.
 //! Prints the mapping statistics, Eq. (1) schedule metrics and the
 //! routing-cache counters of the compile.
 //!

@@ -8,8 +8,8 @@
 //! regressions (accidental O(sites) scans per round, quadratic
 //! frontier work) surface as a timeout here rather than only in the
 //! bench tier. The mega case (QFT-128 on 100×100/4500 atoms) does the
-//! same one order of magnitude up, where only the hierarchical
-//! coarse-to-fine routing keeps the compile tractable.
+//! same one order of magnitude up, where only the region-bucketed ring
+//! walks and the LRU-capped distance cache keep the compile tractable.
 
 use hybrid_na::prelude::*;
 use na_mapper::verify::verify_mapping_on;
