@@ -21,7 +21,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use na_arch::{HardwareParams, NeighborTable, Neighborhood};
+use na_arch::{HardwareParams, NeighborTable};
 use na_circuit::generators::{Qaoa, Qft, RandomCircuit};
 use na_circuit::{Circuit, Qubit};
 use na_mapper::decision::Capability;
@@ -113,19 +113,13 @@ fn mega_random() -> Circuit {
 /// One pass of distance queries from every occupied site through the
 /// scratch arena's cache — the identical workload for the cold and
 /// warm variants.
-fn query_pass(
-    state: &mut MappingState,
-    hood: &Neighborhood,
-    table: &NeighborTable,
-    r_int: f64,
-    scratch: &mut RouteScratch,
-) -> u64 {
+fn query_pass(state: &mut MappingState, table: &NeighborTable, scratch: &mut RouteScratch) -> u64 {
     let occupied: Vec<_> = state
         .lattice()
         .iter()
         .filter(|s| !state.is_free(*s))
         .collect();
-    let ctx = RoutingContext::new(state, hood, table, r_int, scratch);
+    let ctx = RoutingContext::new(state, table, scratch);
     let mut acc = 0u64;
     for site in occupied {
         acc += u64::from(ctx.distances_from(site)[0]);
@@ -135,12 +129,7 @@ fn query_pass(
 
 /// One pass with a fresh arena per query = the old per-call BFS
 /// recomputation.
-fn query_cold(
-    state: &mut MappingState,
-    hood: &Neighborhood,
-    table: &NeighborTable,
-    r_int: f64,
-) -> u64 {
+fn query_cold(state: &mut MappingState, table: &NeighborTable) -> u64 {
     let occupied: Vec<_> = state
         .lattice()
         .iter()
@@ -149,7 +138,7 @@ fn query_cold(
     let mut acc = 0u64;
     for site in occupied {
         let mut scratch = RouteScratch::new();
-        let ctx = RoutingContext::new(state, hood, table, r_int, &mut scratch);
+        let ctx = RoutingContext::new(state, table, &mut scratch);
         acc += u64::from(ctx.distances_from(site)[0]);
     }
     acc
@@ -171,16 +160,13 @@ fn shuttle_frontier(num_qubits: u32) -> Vec<FrontierGate> {
 fn bench_distance_cache(c: &mut Criterion) {
     let params = small_mixed();
     let mut state = MappingState::identity(&params, 24).expect("fits");
-    let hood = Neighborhood::new(params.r_int);
-    let table = NeighborTable::build(state.lattice(), &hood);
+    let table = NeighborTable::for_radius(state.lattice(), params.r_int);
     let mut warm = RouteScratch::new();
-    query_pass(&mut state, &hood, &table, params.r_int, &mut warm); // fill the cache
+    query_pass(&mut state, &table, &mut warm); // fill the cache
     let mut group = c.benchmark_group("distance_queries");
-    group.bench_function("cold", |b| {
-        b.iter(|| query_cold(&mut state, &hood, &table, params.r_int))
-    });
+    group.bench_function("cold", |b| b.iter(|| query_cold(&mut state, &table)));
     group.bench_function("cached", |b| {
-        b.iter(|| query_pass(&mut state, &hood, &table, params.r_int, &mut warm))
+        b.iter(|| query_pass(&mut state, &table, &mut warm))
     });
     group.finish();
 }
@@ -188,16 +174,14 @@ fn bench_distance_cache(c: &mut Criterion) {
 fn bench_candidate_eval(c: &mut Criterion) {
     let params = small_mixed();
     let mut state = MappingState::identity(&params, 24).expect("fits");
-    let hood = Neighborhood::new(params.r_int);
-    let table = NeighborTable::build(state.lattice(), &hood);
+    let table = NeighborTable::for_radius(state.lattice(), params.r_int);
     let mut scratch = RouteScratch::new();
     let router = ShuttleRouter::new(&params, &MapperConfig::shuttle_only());
     let front = shuttle_frontier(24);
     let refs: Vec<&FrontierGate> = front.iter().collect();
     c.bench_function("shuttle_candidates_front8", |b| {
         b.iter(|| {
-            let mut ctx =
-                RoutingContext::new(&mut state, &hood, &table, params.r_int, &mut scratch);
+            let mut ctx = RoutingContext::new(&mut state, &table, &mut scratch);
             router.best_chains(&mut ctx, &refs, &[])
         })
     });
@@ -317,7 +301,6 @@ fn round_eval_us(params: &HardwareParams, mode: RoundMode, runs: u32) -> f64 {
                     &frontier,
                     &[],
                     &eligible,
-                    1,
                     &mut scratch,
                     &mut out,
                 )
@@ -357,29 +340,26 @@ fn map_ms_with_cache(
 fn write_baseline() {
     let params = small_mixed();
     let mut state = MappingState::identity(&params, 24).expect("fits");
-    let hood = Neighborhood::new(params.r_int);
-    let table = NeighborTable::build(state.lattice(), &hood);
+    let table = NeighborTable::for_radius(state.lattice(), params.r_int);
 
-    let cold = mean_secs(20, || query_cold(&mut state, &hood, &table, params.r_int));
+    let cold = mean_secs(20, || query_cold(&mut state, &table));
     let mut warm = RouteScratch::new();
-    query_pass(&mut state, &hood, &table, params.r_int, &mut warm);
-    let cached = mean_secs(20, || {
-        query_pass(&mut state, &hood, &table, params.r_int, &mut warm)
-    });
+    query_pass(&mut state, &table, &mut warm);
+    let cached = mean_secs(20, || query_pass(&mut state, &table, &mut warm));
 
     // Cache hit rates over one query pass: a cold arena misses every
     // query, the warm arena should serve (nearly) everything.
     let cold_rate = {
         let mut fresh = RouteScratch::new();
-        query_pass(&mut state, &hood, &table, params.r_int, &mut fresh);
+        query_pass(&mut state, &table, &mut fresh);
         let (hits, misses) = fresh.distance_cache().stats();
         hits as f64 / (hits + misses).max(1) as f64
     };
     let warm_rate = {
         let mut arena = RouteScratch::new();
-        query_pass(&mut state, &hood, &table, params.r_int, &mut arena);
+        query_pass(&mut state, &table, &mut arena);
         let (h0, m0) = arena.distance_cache().stats();
-        query_pass(&mut state, &hood, &table, params.r_int, &mut arena);
+        query_pass(&mut state, &table, &mut arena);
         let (h1, m1) = arena.distance_cache().stats();
         // Only the second (warm) pass counts — the fill pass would
         // otherwise cap the reported rate at ~0.5.
@@ -391,15 +371,13 @@ fn write_baseline() {
     // per pass.
     let eval_us = |params: &HardwareParams, qubits: u32, runs: u32| {
         let mut state = MappingState::identity(params, qubits).expect("fits");
-        let hood = Neighborhood::new(params.r_int);
-        let table = NeighborTable::build(state.lattice(), &hood);
+        let table = NeighborTable::for_radius(state.lattice(), params.r_int);
         let router = ShuttleRouter::new(params, &MapperConfig::shuttle_only());
         let front = shuttle_frontier(qubits);
         let refs: Vec<&FrontierGate> = front.iter().collect();
         let mut scratch = RouteScratch::new();
         let eval_pass = mean_secs(runs, || {
-            let mut ctx =
-                RoutingContext::new(&mut state, &hood, &table, params.r_int, &mut scratch);
+            let mut ctx = RoutingContext::new(&mut state, &table, &mut scratch);
             router.best_chains(&mut ctx, &refs, &[])
         });
         eval_pass * 1e6 / 16.0

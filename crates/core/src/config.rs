@@ -75,11 +75,6 @@ pub struct MapperConfig {
     pub initial_layout: InitialLayout,
     /// How many candidates one routing round may commit.
     pub round_mode: RoundMode,
-    /// Worker threads for speculative candidate evaluation (`1` =
-    /// in-place evaluation on the caller thread). Only consulted in
-    /// [`RoundMode::Speculative`]; results are identical for any thread
-    /// count by construction.
-    pub eval_threads: usize,
 }
 
 impl MapperConfig {
@@ -96,7 +91,6 @@ impl MapperConfig {
             max_ops_per_gate: 64,
             initial_layout: InitialLayout::Identity,
             round_mode: RoundMode::Speculative,
-            eval_threads: 1,
         }
     }
 
@@ -138,9 +132,6 @@ impl MapperConfig {
         }
         if self.alpha_gate == 0.0 && self.alpha_shuttle == 0.0 {
             return Err(ConfigError::NoCapability);
-        }
-        if self.eval_threads == 0 {
-            return Err(ConfigError::ZeroEvalThreads);
         }
         Ok(())
     }
@@ -225,12 +216,6 @@ impl MapperConfig {
         self.round_mode = mode;
         self
     }
-
-    /// Sets the speculative evaluation thread count (`1` = caller thread).
-    pub fn with_eval_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = threads;
-        self
-    }
 }
 
 impl Default for MapperConfig {
@@ -280,15 +265,9 @@ mod tests {
     fn round_mode_knobs() {
         let cfg = MapperConfig::default();
         assert_eq!(cfg.round_mode, RoundMode::Speculative);
-        assert_eq!(cfg.eval_threads, 1);
-        let cfg = cfg.with_round_mode(RoundMode::Single).with_eval_threads(4);
+        let cfg = cfg.with_round_mode(RoundMode::Single);
         assert_eq!(cfg.round_mode, RoundMode::Single);
-        assert_eq!(cfg.eval_threads, 4);
         assert!(cfg.validate().is_ok());
-        assert!(matches!(
-            MapperConfig::default().with_eval_threads(0).validate(),
-            Err(ConfigError::ZeroEvalThreads)
-        ));
     }
 
     #[test]

@@ -33,8 +33,6 @@ pub enum ConfigError {
     },
     /// Both capability weights are zero — no router could run.
     NoCapability,
-    /// Speculative candidate evaluation needs at least one worker thread.
-    ZeroEvalThreads,
     /// The AOD transaction cap would forbid every move.
     EmptyAodBatchCap,
     /// A shuttle-capable mapping mode was requested on a target whose
@@ -62,12 +60,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::NoCapability => {
                 write!(f, "both capability weights are zero; enable at least one of gate-based or shuttling routing")
-            }
-            ConfigError::ZeroEvalThreads => {
-                write!(
-                    f,
-                    "`eval_threads` must be at least 1 (1 = evaluate on the caller thread)"
-                )
             }
             ConfigError::EmptyAodBatchCap => {
                 write!(

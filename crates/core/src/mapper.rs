@@ -408,7 +408,6 @@ impl HybridMapper {
                         &scratch.frontier[..front_live],
                         &scratch.lookahead[..la_live],
                         eligible,
-                        self.config.eval_threads,
                         &mut scratch.route,
                         sink,
                     )

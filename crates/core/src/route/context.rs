@@ -34,10 +34,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use na_arch::{NeighborTable, Neighborhood, Site};
+use na_arch::{NeighborTable, Site};
 use na_circuit::Qubit;
 
-use crate::route::distance::{bfs_occupied_table_into, gate_remaining_distance, swap_distance};
+use crate::route::distance::{bfs_occupied_table_into, gate_remaining_distance};
 use crate::route::scratch::{GateBufs, RouteScratch, ShuttleBufs};
 use crate::state::{MappingState, StateJournal};
 
@@ -270,8 +270,8 @@ impl DistanceCache {
 
 /// Everything a [`crate::route::Router`] may consult while proposing
 /// candidates: the (mutable, journal-simulatable) mapping state, the
-/// interaction geometry (disc + CSR table), and the scratch arena with
-/// its distance cache.
+/// interaction geometry (CSR table), and the scratch arena with its
+/// distance cache.
 ///
 /// Candidate simulation happens **in place** on the borrowed state via
 /// the [`StateJournal`]; the engine asserts the journal is fully rolled
@@ -280,9 +280,7 @@ impl DistanceCache {
 #[derive(Debug)]
 pub struct RoutingContext<'a> {
     state: &'a mut MappingState,
-    hood_int: &'a Neighborhood,
     table_int: &'a NeighborTable,
-    r_int: f64,
     scratch: &'a mut RouteScratch,
 }
 
@@ -301,24 +299,20 @@ pub(crate) struct RouteParts<'b> {
 
 impl<'a> RoutingContext<'a> {
     /// Bundles `state` with the engine's geometry and the scratch
-    /// arena. `table` must be the CSR adjacency of `state`'s lattice at
-    /// radius `r_int` (debug-asserted).
+    /// arena. `table_int` must be the CSR interaction adjacency of
+    /// `state`'s lattice (debug-asserted); its radius is `r_int`.
     pub fn new(
         state: &'a mut MappingState,
-        hood_int: &'a Neighborhood,
         table_int: &'a NeighborTable,
-        r_int: f64,
         scratch: &'a mut RouteScratch,
     ) -> Self {
         debug_assert!(
-            table_int.matches(state.lattice(), r_int),
-            "CSR table does not describe this lattice/radius"
+            table_int.lattice() == state.lattice(),
+            "CSR table does not describe this lattice"
         );
         RoutingContext {
             state,
-            hood_int,
             table_int,
-            r_int,
             scratch,
         }
     }
@@ -327,12 +321,6 @@ impl<'a> RoutingContext<'a> {
     #[inline]
     pub fn state(&self) -> &MappingState {
         self.state
-    }
-
-    /// The interaction neighborhood (offsets within `r_int`).
-    #[inline]
-    pub fn interaction_neighborhood(&self) -> &Neighborhood {
-        self.hood_int
     }
 
     /// The CSR adjacency of the lattice at `r_int`.
@@ -344,7 +332,7 @@ impl<'a> RoutingContext<'a> {
     /// The interaction radius.
     #[inline]
     pub fn r_int(&self) -> f64 {
-        self.r_int
+        self.table_int.radius()
     }
 
     /// `true` while a speculative candidate simulation is in flight.
@@ -381,19 +369,10 @@ impl<'a> RoutingContext<'a> {
         self.distances_from(self.state.site_of_qubit(q))
     }
 
-    /// Fractional SWAP distance between the sites of two qubits.
-    pub fn qubit_swap_distance(&self, a: Qubit, b: Qubit) -> f64 {
-        swap_distance(
-            self.state.site_of_qubit(a),
-            self.state.site_of_qubit(b),
-            self.r_int,
-        )
-    }
-
     /// Remaining routing distance of a gate on `qubits` (zero iff
     /// executable).
     pub fn gate_remaining_distance(&self, qubits: &[Qubit]) -> f64 {
-        gate_remaining_distance(self.state, qubits, self.r_int)
+        gate_remaining_distance(self.state, qubits, self.r_int())
     }
 
     /// Euclidean centroid of the sites carrying `qubits` (fractional
@@ -430,7 +409,7 @@ mod tests {
     use super::*;
     use crate::ops::AtomId;
     use crate::route::distance::bfs_occupied;
-    use na_arch::HardwareParams;
+    use na_arch::{HardwareParams, Neighborhood};
 
     fn setup() -> (MappingState, Neighborhood, NeighborTable) {
         let params = HardwareParams::mixed()
@@ -520,7 +499,7 @@ mod tests {
         let (mut state, hood, table) = setup();
         let mut scratch = RouteScratch::new();
         let reference = state.clone();
-        let ctx = RoutingContext::new(&mut state, &hood, &table, hood.radius(), &mut scratch);
+        let ctx = RoutingContext::new(&mut state, &table, &mut scratch);
         for start in [Site::new(0, 0), Site::new(2, 1), Site::new(3, 3)] {
             let cached = ctx.distances_from(start);
             let direct = bfs_occupied(&reference, &[start], &hood);
@@ -530,9 +509,9 @@ mod tests {
 
     #[test]
     fn centroid_is_mean_of_sites() {
-        let (mut state, hood, table) = setup();
+        let (mut state, _, table) = setup();
         let mut scratch = RouteScratch::new();
-        let ctx = RoutingContext::new(&mut state, &hood, &table, hood.radius(), &mut scratch);
+        let ctx = RoutingContext::new(&mut state, &table, &mut scratch);
         // Qubits 0 (0,0) and 2 (2,0).
         let (cx, cy) = ctx.centroid_of(&[Qubit(0), Qubit(2)]);
         assert_eq!((cx, cy), (1.0, 0.0));

@@ -17,7 +17,7 @@
 //! ([`super::Proposal::handoff`]) are reported back so the mapper can
 //! persist the reassignment.
 
-use na_arch::{HardwareParams, Lattice, NeighborTable, Neighborhood};
+use na_arch::{HardwareParams, Lattice, NeighborTable};
 
 use crate::config::MapperConfig;
 use crate::decision::Capability;
@@ -58,11 +58,9 @@ pub struct StepReport {
 #[derive(Debug)]
 pub struct RoutingEngine {
     routers: Vec<Box<dyn Router>>,
-    hood_int: Neighborhood,
     /// CSR adjacency of the lattice the engine routes on at `r_int`,
     /// rebuilt lazily when a step arrives for a different lattice.
     table_int: NeighborTable,
-    r_int: f64,
 }
 
 impl RoutingEngine {
@@ -89,11 +87,13 @@ impl RoutingEngine {
         if config.alpha_shuttle > 0.0 {
             routers.push(Box::new(ShuttleRouter::new(params, config)));
         }
+        debug_assert!(
+            table.radius() == params.r_int,
+            "CSR table radius differs from r_int"
+        );
         RoutingEngine {
             routers,
-            hood_int: Neighborhood::new(params.r_int),
             table_int: table,
-            r_int: params.r_int,
         }
     }
 
@@ -103,13 +103,9 @@ impl RoutingEngine {
     /// the full square lattice of `params`; a step on another topology
     /// rebuilds the adjacency for it.
     pub fn with_routers(params: &HardwareParams, routers: Vec<Box<dyn Router>>) -> Self {
-        let hood_int = Neighborhood::new(params.r_int);
-        let table_int = NeighborTable::build(&Lattice::new(params.lattice_side), &hood_int);
         RoutingEngine {
             routers,
-            hood_int,
-            table_int,
-            r_int: params.r_int,
+            table_int: NeighborTable::for_radius(&Lattice::new(params.lattice_side), params.r_int),
         }
     }
 
@@ -121,20 +117,9 @@ impl RoutingEngine {
     /// Rebuilds the CSR table when `state` routes on a different
     /// lattice than the engine was constructed for.
     fn ensure_table(&mut self, state: &MappingState) {
-        if !self.table_int.matches(state.lattice(), self.r_int) {
-            self.table_int = NeighborTable::build(state.lattice(), &self.hood_int);
+        if self.table_int.lattice() != state.lattice() {
+            self.table_int = NeighborTable::for_radius(state.lattice(), self.table_int.radius());
         }
-    }
-
-    /// A routing context over `state` using the engine's geometry and
-    /// the caller's scratch arena.
-    pub fn context<'a>(
-        &'a mut self,
-        state: &'a mut MappingState,
-        scratch: &'a mut RouteScratch,
-    ) -> RoutingContext<'a> {
-        self.ensure_table(state);
-        RoutingContext::new(state, &self.hood_int, &self.table_int, self.r_int, scratch)
     }
 
     /// The capability gates fall back to when their assigned router
@@ -171,14 +156,30 @@ impl RoutingEngine {
     ) -> Result<StepReport, usize> {
         let mut report = StepReport::default();
         self.ensure_table(state);
-        let (winner, tier) = {
-            let mut ctx =
-                RoutingContext::new(state, &self.hood_int, &self.table_int, self.r_int, scratch);
-            Self::best_candidate(&self.routers, &mut ctx, frontier, lookahead, &mut report)?
-        };
-        self.apply(&winner, tier, state, out, &mut report);
-        report.commits = 1;
-        Ok(report)
+        let mut cands = std::mem::take(&mut scratch.spec.candidates);
+        cands.clear();
+        let gates: Vec<&FrontierGate> = frontier.iter().collect();
+        let walked = Self::collect_tier_candidates(
+            &self.routers,
+            &mut RoutingContext::new(state, &self.table_int, scratch),
+            &gates,
+            lookahead,
+            false,
+            &mut report,
+            &mut cands,
+        );
+        if let Ok(tier) = walked {
+            // Rank the winning tier through the shared comparator
+            // (earlier-proposed candidates win ties).
+            let winner = cands
+                .iter()
+                .reduce(|best, cand| if cand.improves_on(best) { cand } else { best })
+                .expect("a winning tier proposed a candidate");
+            self.apply(winner, tier, state, out, &mut report);
+            report.commits = 1;
+        }
+        scratch.spec.candidates = cands;
+        walked.map(|_| report)
     }
 
     /// Runs one speculative multi-commit round: batch-evaluate one best
@@ -197,8 +198,6 @@ impl RoutingEngine {
     /// than [`RoutingEngine::step`] at making progress or reporting a
     /// stuck gate. The best evaluated candidate always commits
     /// regardless of eligibility (progress guarantee).
-    /// `eval_threads > 1` mints conflict sets on scoped worker threads
-    /// over cloned states; results are identical for any thread count.
     ///
     /// Committed candidates have pairwise-disjoint conflict sets
     /// (touched atoms + claimed/freed sites), so an earlier commit can
@@ -208,14 +207,12 @@ impl RoutingEngine {
     ///
     /// Returns `Err(op_index)` of the first unroutable gate when no
     /// router produced a candidate.
-    #[allow(clippy::too_many_arguments)]
     pub fn step_speculative(
         &mut self,
         state: &mut MappingState,
         frontier: &[FrontierGate],
         lookahead: &[FrontierGate],
         eligible: &[usize],
-        eval_threads: usize,
         scratch: &mut RouteScratch,
         out: &mut dyn OpSink,
     ) -> Result<StepReport, usize> {
@@ -234,57 +231,27 @@ impl RoutingEngine {
         // stuck gate.
         let mut cands = std::mem::take(&mut scratch.spec.candidates);
         cands.clear();
-        let restricted: Vec<&FrontierGate> = frontier
+        let mut sweep: Vec<&FrontierGate> = frontier
             .iter()
             .filter(|g| eligible.binary_search(&g.op_index).is_ok())
             .collect();
-        let mut tier = None;
-        if !restricted.is_empty() {
-            let mut ctx =
-                RoutingContext::new(state, &self.hood_int, &self.table_int, self.r_int, scratch);
-            match Self::collect_tier_candidates(
+        let tier = loop {
+            let walked = Self::collect_tier_candidates(
                 &self.routers,
-                &mut ctx,
-                &restricted,
+                &mut RoutingContext::new(state, &self.table_int, scratch),
+                &sweep,
                 lookahead,
+                true,
                 &mut report,
                 &mut cands,
-            ) {
-                Ok(t) => tier = Some(t),
-                Err(stuck) => {
-                    if restricted.len() == frontier.len() {
-                        scratch.spec.candidates = cands;
-                        return Err(stuck);
-                    }
+            );
+            match walked {
+                Ok(tier) => break tier,
+                Err(stuck) if sweep.len() == frontier.len() => {
+                    scratch.spec.candidates = cands;
+                    return Err(stuck);
                 }
-            }
-        }
-        let tier = match tier {
-            Some(t) => t,
-            None => {
-                cands.clear();
-                let full: Vec<&FrontierGate> = frontier.iter().collect();
-                let mut ctx = RoutingContext::new(
-                    state,
-                    &self.hood_int,
-                    &self.table_int,
-                    self.r_int,
-                    scratch,
-                );
-                match Self::collect_tier_candidates(
-                    &self.routers,
-                    &mut ctx,
-                    &full,
-                    lookahead,
-                    &mut report,
-                    &mut cands,
-                ) {
-                    Ok(t) => t,
-                    Err(stuck) => {
-                        scratch.spec.candidates = cands;
-                        return Err(stuck);
-                    }
-                }
+                Err(_) => sweep = frontier.iter().collect(),
             }
         };
 
@@ -297,59 +264,15 @@ impl RoutingEngine {
         atoms.clear();
         sites.clear();
         ranges.clear();
-        let threads = eval_threads.max(1).min(cands.len().max(1));
-        if threads > 1 {
-            // Scoped workers over deterministic contiguous chunks, each
-            // owning a cloned state (fresh stamp — workers never touch
-            // the distance cache) and its own journal; merging in
-            // candidate order makes results thread-count independent
-            // because minting is a pure function of (pre-round state,
-            // candidate).
-            let chunk = cands.len().div_ceil(threads);
-            let state_ref: &MappingState = state;
-            // (touched atoms, touched sites, per-candidate [a0,a1,s0,s1])
-            type MintedChunk = (Vec<u32>, Vec<u32>, Vec<[u32; 4]>);
-            let parts: Vec<MintedChunk> = std::thread::scope(|scope| {
-                let handles: Vec<_> = cands
-                    .chunks(chunk)
-                    .map(|chunk_cands| {
-                        scope.spawn(move || {
-                            let mut local = state_ref.clone();
-                            let mut journal = crate::state::StateJournal::new();
-                            let (mut a, mut s, mut r) = (Vec::new(), Vec::new(), Vec::new());
-                            for cand in chunk_cands {
-                                let (a0, s0) = (a.len() as u32, s.len() as u32);
-                                mint_conflict_set(&mut local, &mut journal, cand, &mut a, &mut s);
-                                r.push([a0, a.len() as u32, s0, s.len() as u32]);
-                            }
-                            (a, s, r)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("minting worker panicked"))
-                    .collect()
-            });
-            for (a, s, r) in parts {
-                let (ab, sb) = (atoms.len() as u32, sites.len() as u32);
-                for [a0, a1, s0, s1] in r {
-                    ranges.push([a0 + ab, a1 + ab, s0 + sb, s1 + sb]);
-                }
-                atoms.extend_from_slice(&a);
-                sites.extend_from_slice(&s);
-            }
-        } else {
-            for cand in &cands {
-                let (a0, s0) = (atoms.len() as u32, sites.len() as u32);
-                mint_conflict_set(state, &mut scratch.journal, cand, &mut atoms, &mut sites);
-                ranges.push([a0, atoms.len() as u32, s0, sites.len() as u32]);
-            }
-            debug_assert!(
-                scratch.journal.is_empty(),
-                "conflict minting must roll back"
-            );
+        for cand in &cands {
+            let (a0, s0) = (atoms.len() as u32, sites.len() as u32);
+            mint_conflict_set(state, &mut scratch.journal, cand, &mut atoms, &mut sites);
+            ranges.push([a0, atoms.len() as u32, s0, sites.len() as u32]);
         }
+        debug_assert!(
+            scratch.journal.is_empty(),
+            "conflict minting must roll back"
+        );
 
         // Phase 3 — deterministic greedy commit: rank by (cost, proposal
         // order), commit every candidate whose conflict set is disjoint
@@ -408,20 +331,27 @@ impl RoutingEngine {
         Ok(report)
     }
 
-    /// [`RoutingEngine::best_candidate`]'s batched sibling: walks tiers
-    /// with the same starvation/handoff flow, but collects the *entire*
-    /// candidate list of the first tier that yields any (via
-    /// [`Router::propose_batch`]) instead of reducing to one winner.
-    /// Returns the winning tier; `Err(op_index)` when every tier
-    /// starves.
+    /// Walks the router tiers in priority order and collects the
+    /// *entire* candidate list of the first tier that yields any — via
+    /// [`Router::propose_batch`] (one best candidate per gate) when
+    /// `batched`, else [`Router::propose`]. Both round modes rank from
+    /// this one list. A tier that starves passes its gates down to the
+    /// next tier, and gates a router hands off are recorded in
+    /// `report.reassigned`. Returns the winning tier; `Err(op_index)`
+    /// when every tier starves.
     fn collect_tier_candidates(
         routers: &[Box<dyn Router>],
         ctx: &mut RoutingContext<'_>,
         frontier: &[&FrontierGate],
         lookahead: &[FrontierGate],
+        batched: bool,
         report: &mut StepReport,
         out_cands: &mut Vec<Candidate>,
     ) -> Result<usize, usize> {
+        // Gates flowing down from starved or refusing higher tiers
+        // (borrows only — the hot loop copies no gate data; a carried
+        // gate's stale `capability` field is irrelevant because routers
+        // serve whatever the engine hands them).
         let mut carried: Vec<&FrontierGate> = Vec::new();
         let mut first_pending: Option<usize> = None;
 
@@ -440,7 +370,11 @@ impl RoutingEngine {
 
             let la: Vec<&FrontierGate> = lookahead.iter().filter(|g| g.capability == cap).collect();
             let has_next = tier + 1 < routers.len();
-            let proposal = router.propose_batch(ctx, &gates, &la, has_next);
+            let proposal = if batched {
+                router.propose_batch(ctx, &gates, &la, has_next)
+            } else {
+                router.propose(ctx, &gates, &la, has_next)
+            };
             debug_assert!(
                 !ctx.speculation_in_flight(),
                 "router returned with un-rolled-back speculation"
@@ -456,79 +390,14 @@ impl RoutingEngine {
                 }
             }
 
+            // Tier dominance makes evaluating lower tiers unnecessary
+            // once any candidate exists here.
             if !proposal.candidates.is_empty() {
                 out_cands.extend(proposal.candidates.into_iter().map(|mut cand| {
                     cand.tier = tier as u8;
                     cand
                 }));
                 return Ok(tier);
-            }
-            carried.append(&mut gates);
-        }
-
-        Err(carried
-            .first()
-            .map(|g| g.op_index)
-            .or(first_pending)
-            .unwrap_or(0))
-    }
-
-    /// Propose-and-rank without applying. Fills `report.reassigned`.
-    fn best_candidate(
-        routers: &[Box<dyn Router>],
-        ctx: &mut RoutingContext<'_>,
-        frontier: &[FrontierGate],
-        lookahead: &[FrontierGate],
-        report: &mut StepReport,
-    ) -> Result<(Candidate, usize), usize> {
-        // Gates flowing down from starved or refusing higher tiers
-        // (borrows only — the hot loop copies no gate data; a carried
-        // gate's stale `capability` field is irrelevant because routers
-        // serve whatever the engine hands them).
-        let mut carried: Vec<&FrontierGate> = Vec::new();
-        let mut first_pending: Option<usize> = None;
-
-        for (tier, router) in routers.iter().enumerate() {
-            let cap = router.capability();
-            let mut gates: Vec<&FrontierGate> =
-                frontier.iter().filter(|g| g.capability == cap).collect();
-            gates.append(&mut carried);
-            if gates.is_empty() {
-                continue;
-            }
-            first_pending.get_or_insert(gates[0].op_index);
-
-            let la: Vec<&FrontierGate> = lookahead.iter().filter(|g| g.capability == cap).collect();
-            let has_next = tier + 1 < routers.len();
-            let proposal = router.propose(ctx, &gates, &la, has_next);
-            debug_assert!(
-                !ctx.speculation_in_flight(),
-                "router returned with un-rolled-back speculation"
-            );
-
-            if has_next && !proposal.handoff.is_empty() {
-                let next_cap = routers[tier + 1].capability();
-                for &op_index in &proposal.handoff {
-                    report.reassigned.push((op_index, next_cap));
-                    if let Some(pos) = gates.iter().position(|g| g.op_index == op_index) {
-                        carried.push(gates.remove(pos));
-                    }
-                }
-            }
-
-            // Rank this tier's candidates through the shared comparator
-            // (earlier-proposed candidates win ties). Tier dominance
-            // makes evaluating lower tiers unnecessary once any
-            // candidate exists here.
-            let mut best: Option<Candidate> = None;
-            for mut cand in proposal.candidates {
-                cand.tier = tier as u8;
-                if best.as_ref().is_none_or(|b| cand.improves_on(b)) {
-                    best = Some(cand);
-                }
-            }
-            if let Some(best) = best {
-                return Ok((best, tier));
             }
             // Starved: every remaining gate of this tier flows down.
             carried.append(&mut gates);
@@ -662,8 +531,7 @@ mod tests {
         let gate_only = engine(&p, &MapperConfig::gate_only());
         assert_eq!(gate_only.routers().len(), 1);
         assert_eq!(gate_only.fallback_capability(), None);
-        let hybrid =
-            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+        let hybrid = engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         assert_eq!(hybrid.fallback_capability(), Some(Capability::Shuttling));
     }
 
@@ -694,8 +562,7 @@ mod tests {
     fn gate_tier_wins_while_it_has_candidates() {
         let p = params(5, 24, 1.0);
         let mut state = MappingState::identity(&p, 24).expect("fits");
-        let mut engine =
-            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+        let mut engine = engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         let frontier = [
             gate(0, &[0, 12], Capability::GateBased),
             gate(1, &[3, 20], Capability::Shuttling),
@@ -713,8 +580,7 @@ mod tests {
     fn shuttle_tier_acts_when_gate_frontier_empty() {
         let p = params(5, 20, 1.0);
         let mut state = MappingState::identity(&p, 20).expect("fits");
-        let mut engine =
-            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+        let mut engine = engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         let frontier = [gate(0, &[0, 19], Capability::Shuttling)];
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(20, 20);
@@ -729,7 +595,7 @@ mod tests {
     /// Isolates the first two atoms (no occupied interaction neighbour),
     /// so the gate-based router has no SWAP candidate at all.
     fn isolated_pair_state(p: &HardwareParams) -> MappingState {
-        let mut state = MappingState::identity(p, 4).expect("fits");
+        let mut state = MappingState::identity(p, p.num_atoms).expect("fits");
         state.apply_move(crate::ops::AtomId(0), na_arch::Site::new(6, 6));
         state.apply_move(crate::ops::AtomId(1), na_arch::Site::new(4, 3));
         state
@@ -738,19 +604,27 @@ mod tests {
     #[test]
     fn starved_gate_tier_falls_through_to_shuttling() {
         // Both gate atoms are isolated: no SWAP partner exists, so the
-        // gate-based tier starves and shuttling takes over.
+        // gate-based tier starves and shuttling takes over — in both
+        // round modes, which share one tier walker.
         let p = params(7, 4, 1.0);
-        let mut state = isolated_pair_state(&p);
-        let mut engine =
-            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         let frontier = [gate(0, &[0, 1], Capability::GateBased)];
-        let mut scratch = RouteScratch::new();
-        let mut out = MappedCircuit::new(4, 4);
-        let report = engine
-            .step(&mut state, &frontier, &[], &mut scratch, &mut out)
+        for speculative in [false, true] {
+            let mut state = isolated_pair_state(&p);
+            let mut engine = engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+            let mut scratch = RouteScratch::new();
+            let mut out = MappedCircuit::new(4, 4);
+            let report = if speculative {
+                engine.step_speculative(&mut state, &frontier, &[], &[0], &mut scratch, &mut out)
+            } else {
+                engine.step(&mut state, &frontier, &[], &mut scratch, &mut out)
+            }
             .unwrap();
-        assert_eq!(report.swaps, 0);
-        assert!(report.moves >= 1, "shuttle fallback must route the gate");
+            assert_eq!(report.swaps, 0, "speculative = {speculative}");
+            assert!(
+                report.moves >= 1,
+                "shuttle fallback must route the gate (speculative = {speculative})"
+            );
+        }
     }
 
     #[test]
@@ -781,15 +655,7 @@ mod tests {
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(40, 40);
         let report = engine
-            .step_speculative(
-                &mut state,
-                &frontier,
-                &[],
-                &[0, 1],
-                1,
-                &mut scratch,
-                &mut out,
-            )
+            .step_speculative(&mut state, &frontier, &[], &[0, 1], &mut scratch, &mut out)
             .unwrap();
         assert_eq!(report.commits, 2, "both disjoint gates must commit");
         assert_eq!(report.swaps, out.swap_count());
@@ -807,49 +673,30 @@ mod tests {
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(24, 24);
         let report = engine
-            .step_speculative(&mut state, &frontier, &[], &[], 1, &mut scratch, &mut out)
+            .step_speculative(&mut state, &frontier, &[], &[], &mut scratch, &mut out)
             .unwrap();
         assert_eq!(report.commits, 1);
         assert_eq!(report.swaps, 1);
     }
 
     #[test]
-    fn speculative_round_is_thread_count_independent() {
-        let p = params(8, 40, 1.0);
+    fn speculative_round_resweeps_full_frontier_when_eligible_starves() {
+        // The only eligible gate is isolated (no SWAP partner), so the
+        // restricted sweep starves; the full-frontier re-sweep must
+        // still route the other gate this round.
+        let p = params(7, 6, 1.0);
+        let mut state = isolated_pair_state(&p);
+        let mut engine = engine(&p, &MapperConfig::gate_only());
         let frontier = [
-            gate(0, &[0, 18], Capability::GateBased),
-            gate(1, &[5, 30], Capability::GateBased),
-            gate(2, &[9, 33], Capability::GateBased),
+            gate(9, &[0, 1], Capability::GateBased),
+            gate(4, &[2, 5], Capability::GateBased),
         ];
-        let run = |threads: usize| {
-            let mut state = MappingState::identity(&p, 40).expect("fits");
-            let mut engine = engine(&p, &MapperConfig::gate_only());
-            let mut scratch = RouteScratch::new();
-            let mut out = MappedCircuit::new(40, 40);
-            let report = engine
-                .step_speculative(
-                    &mut state,
-                    &frontier,
-                    &[],
-                    &[0, 1, 2],
-                    threads,
-                    &mut scratch,
-                    &mut out,
-                )
-                .unwrap();
-            (
-                format!("{:?}", out.iter().collect::<Vec<_>>()),
-                report.commits,
-                state,
-            )
-        };
-        let (ops1, commits1, state1) = run(1);
-        for threads in [2, 4] {
-            let (ops, commits, state) = run(threads);
-            assert_eq!(ops, ops1, "{threads} threads diverged");
-            assert_eq!(commits, commits1);
-            assert_eq!(state, state1);
-        }
+        let mut scratch = RouteScratch::new();
+        let mut out = MappedCircuit::new(6, 6);
+        let report = engine
+            .step_speculative(&mut state, &frontier, &[], &[9], &mut scratch, &mut out)
+            .unwrap();
+        assert_eq!((report.commits, report.swaps), (1, 1));
     }
 
     #[test]
@@ -861,7 +708,7 @@ mod tests {
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(4, 4);
         let err = engine
-            .step_speculative(&mut state, &frontier, &[], &[9], 1, &mut scratch, &mut out)
+            .step_speculative(&mut state, &frontier, &[], &[9], &mut scratch, &mut out)
             .unwrap_err();
         assert_eq!(err, 9);
     }
@@ -870,8 +717,7 @@ mod tests {
     fn step_notifies_router_and_survives_repeats() {
         let p = params(5, 24, 1.0);
         let mut state = MappingState::identity(&p, 24).expect("fits");
-        let mut engine =
-            engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
+        let mut engine = engine(&p, &MapperConfig::try_hybrid(1.0).expect("valid alpha"));
         let frontier = [gate(0, &[0, 23], Capability::GateBased)];
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(24, 24);

@@ -868,34 +868,23 @@ mod tests {
 
     struct Fixture {
         state: MappingState,
-        hood: Neighborhood,
         table: na_arch::NeighborTable,
-        r_int: f64,
         scratch: RouteScratch,
     }
 
     impl Fixture {
         fn new(p: &HardwareParams, qubits: u32) -> Self {
             let state = MappingState::identity(p, qubits).expect("fits");
-            let hood = Neighborhood::new(p.r_int);
-            let table = na_arch::NeighborTable::build(state.lattice(), &hood);
+            let table = na_arch::NeighborTable::for_radius(state.lattice(), p.r_int);
             Fixture {
                 state,
-                hood,
                 table,
-                r_int: p.r_int,
                 scratch: RouteScratch::new(),
             }
         }
 
         fn ctx(&mut self) -> RoutingContext<'_> {
-            RoutingContext::new(
-                &mut self.state,
-                &self.hood,
-                &self.table,
-                self.r_int,
-                &mut self.scratch,
-            )
+            RoutingContext::new(&mut self.state, &self.table, &mut self.scratch)
         }
     }
 

@@ -170,9 +170,10 @@ impl ShuttleBufs {
     }
 }
 
-/// SoA buffers of one speculative multi-commit round (see
-/// [`crate::route::RoutingEngine::step_speculative`]): the winning
-/// tier's candidate list, the sorted commit order, and the per-candidate
+/// SoA buffers of one routing round: the winning tier's candidate
+/// list (filled by both [`crate::route::RoutingEngine::step`] and
+/// [`crate::route::RoutingEngine::step_speculative`]) and, for
+/// speculative rounds only, the sorted commit order and the per-candidate
 /// conflict sets stored as two concatenated arrays (atom ids / dense
 /// site indices) sliced by `ranges`. The stamped `atom_mark`/`site_mark`
 /// tables carry the committed union during the greedy commit pass —

@@ -630,7 +630,6 @@ impl Router for ShuttleRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use na_arch::Neighborhood;
 
     use crate::route::RouteScratch;
 
@@ -654,34 +653,23 @@ mod tests {
 
     struct Fixture {
         state: MappingState,
-        hood: Neighborhood,
         table: na_arch::NeighborTable,
-        r_int: f64,
         scratch: RouteScratch,
     }
 
     impl Fixture {
         fn new(p: &HardwareParams, qubits: u32) -> Self {
             let state = MappingState::identity(p, qubits).expect("fits");
-            let hood = Neighborhood::new(p.r_int);
-            let table = na_arch::NeighborTable::build(state.lattice(), &hood);
+            let table = na_arch::NeighborTable::for_radius(state.lattice(), p.r_int);
             Fixture {
                 state,
-                hood,
                 table,
-                r_int: p.r_int,
                 scratch: RouteScratch::new(),
             }
         }
 
         fn ctx(&mut self) -> RoutingContext<'_> {
-            RoutingContext::new(
-                &mut self.state,
-                &self.hood,
-                &self.table,
-                self.r_int,
-                &mut self.scratch,
-            )
+            RoutingContext::new(&mut self.state, &self.table, &mut self.scratch)
         }
     }
 
@@ -921,8 +909,7 @@ mod tests {
         let live = router.best_chains(&mut fx.ctx(), &front, &[]);
         let mut clone = fx.state.clone();
         let mut cold = RouteScratch::new();
-        let mut clone_ctx =
-            RoutingContext::new(&mut clone, &fx.hood, &fx.table, fx.r_int, &mut cold);
+        let mut clone_ctx = RoutingContext::new(&mut clone, &fx.table, &mut cold);
         let from_clone = router.best_chains(&mut clone_ctx, &front, &[]);
         assert_eq!(live, from_clone);
     }

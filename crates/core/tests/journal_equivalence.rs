@@ -17,7 +17,7 @@
 //! 3. **Source guard**: no `MappingState` clone remains in the
 //!    candidate-evaluation path of the shuttle router.
 
-use na_arch::{HardwareParams, Lattice, NeighborTable, Neighborhood, Site};
+use na_arch::{HardwareParams, Lattice, NeighborTable, Site};
 use na_circuit::generators::{GraphState, Qft};
 use na_circuit::{decompose_to_native, Circuit, Qubit};
 use na_mapper::decision::Decider;
@@ -118,7 +118,7 @@ proptest! {
             let mut scratch = RouteScratch::new();
             let mut out = MappedCircuit::new(40, 40);
             let report = engine
-                .step_speculative(&mut state, &frontier, &[], &eligible, 1, &mut scratch, &mut out)
+                .step_speculative(&mut state, &frontier, &[], &eligible, &mut scratch, &mut out)
                 .expect("identity layout is never stuck");
             prop_assert!(report.commits >= 1);
 
@@ -150,17 +150,12 @@ proptest! {
 #[derive(Debug)]
 struct CloneCheck<R> {
     inner: R,
-    r_int: f64,
     checked: std::rc::Rc<std::cell::Cell<usize>>,
 }
 
 impl<R> CloneCheck<R> {
-    fn new(inner: R, r_int: f64, checked: std::rc::Rc<std::cell::Cell<usize>>) -> Self {
-        CloneCheck {
-            inner,
-            r_int,
-            checked,
-        }
+    fn new(inner: R, checked: std::rc::Rc<std::cell::Cell<usize>>) -> Self {
+        CloneCheck { inner, checked }
     }
 }
 
@@ -191,9 +186,8 @@ impl<R: Router> Router for CloneCheck<R> {
         // The clone-based path: pristine state copy, cold arena.
         let mut clone = before;
         let mut cold = RouteScratch::new();
-        let hood = Neighborhood::new(self.r_int);
-        let table = na_arch::NeighborTable::build(clone.lattice(), &hood);
-        let mut ctx2 = RoutingContext::new(&mut clone, &hood, &table, self.r_int, &mut cold);
+        let table = NeighborTable::for_radius(clone.lattice(), ctx.r_int());
+        let mut ctx2 = RoutingContext::new(&mut clone, &table, &mut cold);
         let reference = self.inner.propose(&mut ctx2, frontier, lookahead, fallback);
 
         assert_eq!(
@@ -223,12 +217,10 @@ fn route_clone_checked(
     let checked = std::rc::Rc::new(std::cell::Cell::new(0));
     let gate_check = CloneCheck::new(
         na_mapper::GateRouter::new(params, &config),
-        params.r_int,
         std::rc::Rc::clone(&checked),
     );
     let shuttle_check = CloneCheck::new(
         na_mapper::ShuttleRouter::new(params, &config),
-        params.r_int,
         std::rc::Rc::clone(&checked),
     );
     let mut engine =

@@ -41,7 +41,6 @@ pub struct MappingOptions {
     pub(crate) mode: MappingMode,
     pub(crate) initial_layout: Option<InitialLayout>,
     pub(crate) round_mode: Option<RoundMode>,
-    pub(crate) eval_threads: Option<usize>,
 }
 
 /// The capability mode of a mapping session.
@@ -69,7 +68,6 @@ impl MappingOptions {
             mode: MappingMode::Hybrid { alpha_ratio },
             initial_layout: None,
             round_mode: None,
-            eval_threads: None,
         }
     }
 
@@ -79,7 +77,6 @@ impl MappingOptions {
             mode: MappingMode::GateOnly,
             initial_layout: None,
             round_mode: None,
-            eval_threads: None,
         }
     }
 
@@ -89,7 +86,6 @@ impl MappingOptions {
             mode: MappingMode::ShuttleOnly,
             initial_layout: None,
             round_mode: None,
-            eval_threads: None,
         }
     }
 
@@ -99,7 +95,6 @@ impl MappingOptions {
             mode: MappingMode::Custom(config),
             initial_layout: None,
             round_mode: None,
-            eval_threads: None,
         }
     }
 
@@ -113,13 +108,6 @@ impl MappingOptions {
     /// rounds, see [`RoundMode`]).
     pub fn with_round_mode(mut self, mode: RoundMode) -> Self {
         self.round_mode = Some(mode);
-        self
-    }
-
-    /// Overrides the speculative evaluation thread count (`1` =
-    /// evaluate on the caller thread; validated at build time).
-    pub fn with_eval_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = Some(threads);
         self
     }
 
@@ -139,10 +127,6 @@ impl MappingOptions {
         }
         if let Some(mode) = self.round_mode {
             config.round_mode = mode;
-        }
-        if let Some(threads) = self.eval_threads {
-            config = config.with_eval_threads(threads);
-            config.validate()?;
         }
         Ok(config)
     }

@@ -113,14 +113,14 @@ pub(crate) fn target_parts_fingerprint(
     fnv1a(target_parts_to_json(params, lattice, aod, gates).as_bytes())
 }
 
-/// Content hash of the mapping options (mode, α, layout override,
-/// round-mode and eval-thread overrides), via their canonical JSON.
+/// Content hash of the mapping options (mode, α, layout override and
+/// round-mode override), via their canonical JSON.
 pub fn mapping_fingerprint(options: &MappingOptions) -> u64 {
     let mut h = Fnv1a::new();
     h.write_str(&crate::job::mapping_to_json(options));
-    // Round-mode/eval-thread overrides are not part of the v1 wire
-    // schema but do change the compiled artifact stream — fold them in
-    // so programmatic sessions key correctly too.
+    // The round-mode override is not part of the v1 wire schema but
+    // does change the compiled artifact stream — fold it in so
+    // programmatic sessions key correctly too.
     match options.round_mode {
         None => h.write_u64(0),
         Some(na_mapper::RoundMode::Single) => h.write_u64(1),
@@ -128,10 +128,9 @@ pub fn mapping_fingerprint(options: &MappingOptions) -> u64 {
         #[allow(unreachable_patterns)]
         Some(_) => h.write_u64(u64::MAX),
     };
-    match options.eval_threads {
-        None => h.write_u64(0),
-        Some(t) => h.write_u64(1).write_u64(t as u64),
-    };
+    // Slot of the removed evaluation-thread override, kept so existing
+    // fingerprints (and cache keys derived from them) do not drift.
+    h.write_u64(0);
     h.finish()
 }
 
