@@ -33,8 +33,11 @@
 //! assert_eq!(table.neighbors(corner).len(), 5);
 //! ```
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
+use crate::coord::Site;
 use crate::geometry::Neighborhood;
 use crate::lattice::Lattice;
 
@@ -50,10 +53,6 @@ pub struct NeighborTable {
     offsets: Vec<u32>,
     /// Dense site indices, per site in the disc's nearest-first order.
     neighbors: Vec<u32>,
-    /// Coarse R×R clustering of the table's lattice (see
-    /// [`RegionGrid`]), built alongside it so every consumer of the
-    /// table gets the region partition for free.
-    regions: RegionGrid,
 }
 
 impl NeighborTable {
@@ -75,13 +74,11 @@ impl NeighborTable {
             }
             offsets.push(neighbors.len() as u32);
         }
-        let regions = RegionGrid::new(lattice, RegionGrid::DEFAULT_SIDE);
         NeighborTable {
             lattice: *lattice,
             radius: hood.radius(),
             offsets,
             neighbors,
-            regions,
         }
     }
 
@@ -130,43 +127,43 @@ impl NeighborTable {
     pub fn matches(&self, lattice: &Lattice, r: f64) -> bool {
         self.lattice == *lattice && self.radius == r
     }
-
-    /// The coarse R×R region clustering of this table's lattice —
-    /// per-region site slices, used by the routing core for
-    /// ring-ordered nearest-site scans.
-    #[inline]
-    pub fn regions(&self) -> &RegionGrid {
-        &self.regions
-    }
 }
 
 /// Coarse R×R clustering of a lattice: the bounding box is tiled into
-/// square regions of `side × side` geometric cells, with per-region
-/// dense-site slices.
+/// square regions of `side × side` geometric cells. The grid stores only
+/// its shape; a site's region is arithmetic on its coordinates
+/// ([`RegionGrid::region_of`]), so the grid is `Copy` and every holder of
+/// the same `(lattice, side)` pair agrees on what a region is.
 ///
 /// **Ring ordering** makes the grid useful to the routing core: sites
 /// of a region at Chebyshev region distance `K ≥ 1` from a reference
 /// region are at least `(K - 1)·side + 1` cells away, so nearest-site
-/// scans can walk outward ring by ring and stop as soon as the best
-/// hit beats the next ring's lower bound.
+/// scans walk outward ring by ring ([`RegionGrid::rings`]) and stop as
+/// soon as the best hit beats the next ring's lower bound.
 ///
-/// The grid is a deterministic pure function of the lattice, so the
-/// [`NeighborTable`] that carries it keeps its equality semantics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// # Example
+///
+/// ```
+/// use na_arch::{Lattice, RegionGrid, Site};
+/// let grid = RegionGrid::new(&Lattice::new(100), RegionGrid::DEFAULT_SIDE);
+/// assert_eq!(grid.dims(), (13, 13));
+/// assert_eq!(grid.region_of(Site::new(17, 9)), 13 + 2);
+/// // Ring 0 is the center region alone; ring 1 its (clipped) border.
+/// let mut rings = grid.rings(0.0, 0.0);
+/// let mut regions = Vec::new();
+/// rings.next().unwrap().for_each_region(|r| regions.push(r));
+/// rings.next().unwrap().for_each_region(|r| regions.push(r));
+/// assert_eq!(regions, [0, 1, 13, 14]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegionGrid {
-    /// Region edge length in lattice cells.
+    /// Region edge length in lattice cells (≥ 1).
     side: u32,
     /// Regions per geometric row of the bounding box.
     regions_x: u32,
-    /// Region rows covering the bounding box (zoned lattices count
-    /// lane rows in the box; lane-only regions simply hold no sites).
+    /// Region rows up to the last trap row (zoned lattices count lane
+    /// rows in between; lane-only regions simply hold no sites).
     regions_y: u32,
-    /// Dense site index → region id (`ry * regions_x + rx`).
-    region_of: Vec<u32>,
-    /// CSR offsets into `sites`, one slice per region.
-    site_offsets: Vec<u32>,
-    /// Dense site indices grouped by region, ascending within each.
-    sites: Vec<u32>,
 }
 
 impl RegionGrid {
@@ -174,59 +171,17 @@ impl RegionGrid {
     /// resolves into a 13×13 region grid.
     pub const DEFAULT_SIDE: u32 = 8;
 
-    /// The region partition of a lattice at the given region side,
-    /// without site slices: `(regions_x, regions_y, region_of)` where
-    /// `region_of[dense site index] = ry * regions_x + rx`. This is the
-    /// single source of truth for the site→region mapping — the routing
-    /// core's occupancy buckets use it so they can never drift from the
-    /// grid a [`NeighborTable`] carries.
-    pub fn partition(lattice: &Lattice, side: u32) -> (u32, u32, Vec<u32>) {
+    /// Tiles a lattice into regions of the given side length (a side of
+    /// 0 is treated as 1).
+    pub fn new(lattice: &Lattice, side: u32) -> Self {
         let side = side.max(1);
-        let (mut max_x, mut max_y) = (0u32, 0u32);
-        for s in lattice.iter() {
-            max_x = max_x.max(s.x as u32);
-            max_y = max_y.max(s.y as u32);
-        }
-        let regions_x = max_x / side + 1;
-        let regions_y = max_y / side + 1;
-        let region_of = (0..lattice.num_sites())
-            .map(|idx| {
-                let s = lattice.site(idx);
-                (s.y as u32 / side) * regions_x + s.x as u32 / side
-            })
-            .collect();
-        (regions_x, regions_y, region_of)
-    }
-
-    /// Clusters a lattice into regions of the given side length.
-    pub(crate) fn new(lattice: &Lattice, side: u32) -> Self {
-        let side = side.max(1);
-        let (regions_x, regions_y, region_of) = Self::partition(lattice, side);
-        let num_regions = (regions_x * regions_y) as usize;
-
-        // Per-region site slices: counting sort over dense indices, so
-        // each slice is ascending.
-        let mut site_offsets = vec![0u32; num_regions + 1];
-        for &r in &region_of {
-            site_offsets[r as usize + 1] += 1;
-        }
-        for r in 0..num_regions {
-            site_offsets[r + 1] += site_offsets[r];
-        }
-        let mut cursor: Vec<u32> = site_offsets[..num_regions].to_vec();
-        let mut sites = vec![0u32; lattice.num_sites()];
-        for (idx, &r) in region_of.iter().enumerate() {
-            sites[cursor[r as usize] as usize] = idx as u32;
-            cursor[r as usize] += 1;
-        }
-
+        // The last dense site sits on the last trap row, at the right
+        // edge of the bounding box.
+        let last = lattice.site(lattice.num_sites() - 1);
         RegionGrid {
             side,
-            regions_x,
-            regions_y,
-            region_of,
-            site_offsets,
-            sites,
+            regions_x: last.x as u32 / side + 1,
+            regions_y: last.y as u32 / side + 1,
         }
     }
 
@@ -236,89 +191,113 @@ impl RegionGrid {
         self.side
     }
 
-    /// `(regions_x, regions_y)` — the region grid dimensions.
+    /// `(regions_x, regions_y)` — the region grid dimensions; region ids
+    /// run `0..regions_x * regions_y`.
     #[inline]
     pub fn dims(&self) -> (u32, u32) {
         (self.regions_x, self.regions_y)
     }
 
-    /// Total number of regions (including empty lane-only regions on
-    /// zoned lattices).
+    /// The region id (`ry * regions_x + rx`) of a lattice site.
     #[inline]
-    pub fn num_regions(&self) -> usize {
-        (self.regions_x * self.regions_y) as usize
+    pub fn region_of(&self, site: Site) -> usize {
+        let rx = site.x as u32 / self.side;
+        let ry = site.y as u32 / self.side;
+        (ry * self.regions_x + rx) as usize
     }
 
-    /// The region id of a dense site index.
-    #[inline]
-    pub fn region_of(&self, site_idx: usize) -> u32 {
-        self.region_of[site_idx]
+    /// The geometric cells of a region: half-open `x` and `y` ranges.
+    /// The ranges may reach past the bounding box and cross lane rows;
+    /// filter with [`Lattice::contains`] to get the region's sites.
+    pub fn cells(&self, region: usize) -> (Range<i32>, Range<i32>) {
+        let region = region as u32;
+        let x0 = (region % self.regions_x * self.side) as i32;
+        let y0 = (region / self.regions_x * self.side) as i32;
+        let side = self.side as i32;
+        (x0..x0 + side, y0..y0 + side)
     }
 
-    /// `(rx, ry)` grid coordinates of a region id.
+    /// Lower bound, in lattice cells, on the Euclidean (and Chebyshev)
+    /// distance from any site inside a region to any site of a region
+    /// at Chebyshev region distance `k`: `0` for `k = 0`, else
+    /// `(k − 1)·side + 1` (the rings share no cells, so at least one
+    /// full region of separation minus the reference site's own
+    /// region). Lets ring walks stop as soon as the best hit found so
+    /// far beats everything a farther ring could hold.
     #[inline]
-    pub fn coords(&self, region: u32) -> (u32, u32) {
-        (region % self.regions_x, region / self.regions_x)
+    pub fn ring_min_cells(&self, k: u32) -> u32 {
+        if k == 0 {
+            0
+        } else {
+            (k - 1) * self.side + 1
+        }
     }
 
-    /// The dense site indices inside a region, ascending.
+    /// The Chebyshev region rings around the region holding the point
+    /// `(x, y)` (clamped into the grid), innermost first: ring `k`
+    /// holds the regions exactly `k` region steps away, and the last
+    /// ring reaches the farthest grid corner, so the rings together
+    /// cover every region exactly once.
+    pub fn rings(&self, x: f64, y: f64) -> impl Iterator<Item = Ring> {
+        let grid = *self;
+        let cx = ((x.max(0.0) as u32) / self.side).min(self.regions_x - 1);
+        let cy = ((y.max(0.0) as u32) / self.side).min(self.regions_y - 1);
+        let max_k = cx
+            .max(self.regions_x - 1 - cx)
+            .max(cy.max(self.regions_y - 1 - cy));
+        (0..=max_k).map(move |k| Ring { grid, cx, cy, k })
+    }
+}
+
+/// One Chebyshev ring of a [`RegionGrid`], from [`RegionGrid::rings`].
+#[derive(Debug, Clone, Copy)]
+pub struct Ring {
+    grid: RegionGrid,
+    cx: u32,
+    cy: u32,
+    k: u32,
+}
+
+impl Ring {
+    /// The ring's Chebyshev region distance from the center region.
     #[inline]
-    pub fn sites_in(&self, region: u32) -> &[u32] {
-        let lo = self.site_offsets[region as usize] as usize;
-        let hi = self.site_offsets[region as usize + 1] as usize;
-        &self.sites[lo..hi]
+    pub fn k(&self) -> u32 {
+        self.k
     }
 
-    /// Visits every region of a `regions_x × regions_y` grid whose
-    /// Chebyshev distance from `(cx, cy)` is exactly `k`, clipped to
-    /// the grid, in row-major order. `k = 0` visits only `(cx, cy)`.
-    ///
-    /// An associated function (no grid instance required) so occupancy
-    /// buckets built from [`RegionGrid::partition`] alone walk the
-    /// exact same ring geometry as consumers holding a full grid.
-    pub fn for_each_ring_region(
-        regions_x: u32,
-        regions_y: u32,
-        cx: u32,
-        cy: u32,
-        k: u32,
-        visit: &mut impl FnMut(u32, u32),
-    ) {
+    /// [`RegionGrid::ring_min_cells`] of this ring: no site of it lies
+    /// closer than this to a site of the center region. From an
+    /// arbitrary real point of the center region the bound is one cell
+    /// less, and strict.
+    #[inline]
+    pub fn min_cells(&self) -> u32 {
+        self.grid.ring_min_cells(self.k)
+    }
+
+    /// Visits the id of every region on the ring, clipped to the grid,
+    /// in row-major order. Ring 0 is the center region alone.
+    pub fn for_each_region(&self, mut visit: impl FnMut(usize)) {
+        let Ring { grid, cx, cy, k } = *self;
+        let id = |rx: u32, ry: u32| (ry * grid.regions_x + rx) as usize;
         let x_lo = cx.saturating_sub(k);
-        let x_hi = (cx + k).min(regions_x - 1);
+        let x_hi = (cx + k).min(grid.regions_x - 1);
         let y_lo = cy.saturating_sub(k);
-        let y_hi = (cy + k).min(regions_y - 1);
+        let y_hi = (cy + k).min(grid.regions_y - 1);
         for ry in y_lo..=y_hi {
             if cy.abs_diff(ry) == k {
                 // Top/bottom edge of the ring: the full row segment.
                 for rx in x_lo..=x_hi {
-                    visit(rx, ry);
+                    visit(id(rx, ry));
                 }
             } else {
                 // Interior row: only the two vertical edges.
                 if cx >= k {
-                    visit(cx - k, ry);
+                    visit(id(cx - k, ry));
                 }
-                if k > 0 && cx + k < regions_x {
-                    visit(cx + k, ry);
+                if k > 0 && cx + k < grid.regions_x {
+                    visit(id(cx + k, ry));
                 }
             }
-        }
-    }
-
-    /// Lower bound, in lattice cells, on the Euclidean (and Chebyshev)
-    /// distance from any point inside a region to any site of a region
-    /// at Chebyshev region distance `k`: `0` for `k = 0`, else
-    /// `(k − 1)·side + 1` (the rings share no cells, so at least one
-    /// full region of separation minus the reference point's own
-    /// region). Lets ring walks stop as soon as the best hit found so
-    /// far beats everything a farther ring could hold.
-    #[inline]
-    pub fn ring_min_cells(side: u32, k: u32) -> u32 {
-        if k == 0 {
-            0
-        } else {
-            (k - 1) * side + 1
         }
     }
 }
@@ -326,7 +305,6 @@ impl RegionGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coord::Site;
     use proptest::prelude::*;
 
     fn reference_neighbors(lattice: &Lattice, hood: &Neighborhood, center: Site) -> Vec<u32> {
@@ -372,51 +350,65 @@ mod tests {
     #[test]
     fn region_partition_covers_every_site_once() {
         for lat in [Lattice::new(10), Lattice::zoned(9, 2, 1).unwrap()] {
-            let table = NeighborTable::for_radius(&lat, 2.0);
-            let grid = table.regions();
+            let grid = RegionGrid::new(&lat, 4);
+            let (rx, ry) = grid.dims();
             let mut seen = vec![false; lat.num_sites()];
-            for region in 0..grid.num_regions() as u32 {
-                for &s in grid.sites_in(region) {
-                    assert_eq!(grid.region_of(s as usize), region);
-                    assert!(!seen[s as usize], "site {s} in two regions");
-                    seen[s as usize] = true;
+            for region in 0..(rx * ry) as usize {
+                let (xs, ys) = grid.cells(region);
+                for y in ys {
+                    for x in xs.clone() {
+                        let s = Site::new(x, y);
+                        if !lat.contains(s) {
+                            continue;
+                        }
+                        assert_eq!(grid.region_of(s), region);
+                        assert!(!seen[lat.index(s)], "site {s} in two regions");
+                        seen[lat.index(s)] = true;
+                    }
                 }
             }
-            assert!(seen.iter().all(|&b| b), "every site bucketed");
+            assert!(seen.iter().all(|&b| b), "every site in a region");
         }
     }
 
     #[test]
     fn small_lattices_collapse_to_one_region() {
-        let lat = Lattice::new(6);
-        let table = NeighborTable::for_radius(&lat, 2.5);
-        let grid = table.regions();
-        assert_eq!(grid.dims(), (1, 1));
-        assert_eq!(grid.sites_in(0).len(), 36);
+        assert_eq!(RegionGrid::new(&Lattice::new(6), 8).dims(), (1, 1));
     }
 
     #[test]
     fn mega_lattice_resolves_to_a_coarse_graph() {
-        let lat = Lattice::new(100);
-        let table = NeighborTable::for_radius(&lat, 2.5);
-        let grid = table.regions();
-        assert_eq!(grid.dims(), (13, 13));
+        assert_eq!(RegionGrid::new(&Lattice::new(100), 8).dims(), (13, 13));
+    }
+
+    #[test]
+    fn zoned_grid_stops_at_the_last_trap_row() {
+        // One trap row per two lanes in a 17-row box: row 16 is a lane,
+        // so the last trap row is 15 and the grid stops at region row 1.
+        let zoned = Lattice::zoned(17, 1, 2).unwrap();
+        assert!(!zoned.is_trap_row(16));
+        assert_eq!(RegionGrid::new(&zoned, 8).dims(), (3, 2));
+        // A zero side is treated as 1.
+        assert_eq!(RegionGrid::new(&Lattice::new(3), 0).dims(), (3, 3));
     }
 
     #[test]
     fn ring_walk_partitions_the_grid_by_chebyshev_distance() {
-        let (rx, ry) = (5u32, 4u32);
-        for (cx, cy) in [(0, 0), (2, 1), (4, 3), (1, 3)] {
-            let mut seen = vec![0u32; (rx * ry) as usize];
-            let max_k = cx.max(rx - 1 - cx).max(cy.max(ry - 1 - cy));
-            for k in 0..=max_k {
-                RegionGrid::for_each_ring_region(rx, ry, cx, cy, k, &mut |x, y| {
+        // A 5×4 region grid at side 1.
+        let grid = RegionGrid::new(&Lattice::zoned(5, 4, 1).unwrap(), 1);
+        assert_eq!(grid.dims(), (5, 4));
+        for (cx, cy) in [(0u32, 0u32), (2, 1), (4, 3), (1, 3)] {
+            let mut seen = vec![0u32; 20];
+            for ring in grid.rings(f64::from(cx), f64::from(cy)) {
+                ring.for_each_region(|region| {
+                    let (x, y) = (region as u32 % 5, region as u32 / 5);
                     assert_eq!(
                         x.abs_diff(cx).max(y.abs_diff(cy)),
-                        k,
-                        "ring {k} visited ({x},{y}) from ({cx},{cy})"
+                        ring.k(),
+                        "ring {} visited ({x},{y}) from ({cx},{cy})",
+                        ring.k()
                     );
-                    seen[(y * rx + x) as usize] += 1;
+                    seen[region] += 1;
                 });
             }
             assert!(
@@ -424,6 +416,11 @@ mod tests {
                 "rings must cover every region exactly once: {seen:?}"
             );
         }
+        // Points outside the box clamp to the nearest region.
+        let first = grid.rings(-3.0, 99.0).next().unwrap();
+        let mut center = Vec::new();
+        first.for_each_region(|r| center.push(r));
+        assert_eq!(center, [15]);
     }
 
     #[test]
@@ -431,10 +428,11 @@ mod tests {
         // Any site in a ring-k region is at least ring_min_cells away
         // (Chebyshev, hence Euclidean) from any point of the center
         // region.
-        assert_eq!(RegionGrid::ring_min_cells(8, 0), 0);
-        assert_eq!(RegionGrid::ring_min_cells(8, 1), 1);
-        assert_eq!(RegionGrid::ring_min_cells(8, 2), 9);
-        assert_eq!(RegionGrid::ring_min_cells(8, 3), 17);
+        let grid = RegionGrid::new(&Lattice::new(40), 8);
+        assert_eq!(grid.ring_min_cells(0), 0);
+        assert_eq!(grid.ring_min_cells(1), 1);
+        assert_eq!(grid.ring_min_cells(2), 9);
+        assert_eq!(grid.ring_min_cells(3), 17);
     }
 
     proptest! {

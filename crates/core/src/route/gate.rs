@@ -36,6 +36,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use na_arch::adjacency::Ring;
 use na_arch::{HardwareParams, NeighborTable, Neighborhood, Site};
 use na_circuit::Qubit;
 
@@ -209,62 +210,44 @@ impl GateRouter {
             anchors.clear();
             let mut heap = BinaryHeap::from(std::mem::take(anchors));
 
-            let side = state.region_side();
-            let (regions_x, regions_y) = state.region_dims();
             let centroid = crate::route::context::centroid_of(state, qubits);
-            let cx = ((centroid.0.max(0.0) as u32) / side).min(regions_x - 1);
-            let cy = ((centroid.1.max(0.0) as u32) / side).min(regions_y - 1);
-            let max_k = (cx.max(regions_x - 1 - cx)).max(cy.max(regions_y - 1 - cy));
+            let mut rings = state.region_grid().rings(centroid.0, centroid.1).peekable();
             let r_int = self.cost.r_int;
-            let lb_cost = |k: u32| -> f64 {
-                if k == 0 {
-                    0.0
-                } else {
-                    (m as f64) * f64::from((k - 1) * side) / r_int
-                }
+            // From the real-valued centroid a ring lies strictly beyond
+            // one cell less than its site-to-site bound.
+            let lb_cost = |ring: &Ring| -> f64 {
+                (m as f64) * f64::from(ring.min_cells().saturating_sub(1)) / r_int
             };
-            let push_ring = |k: u32, heap: &mut BinaryHeap<Reverse<(u64, Site)>>| {
-                na_arch::RegionGrid::for_each_ring_region(
-                    regions_x,
-                    regions_y,
-                    cx,
-                    cy,
-                    k,
-                    &mut |rx, ry| {
-                        let region = (ry * regions_x + rx) as usize;
-                        for &a in state.atoms_in_region(region) {
-                            let site = state.site_of_atom(AtomId(a));
-                            let idx = lattice.index(site);
-                            let mut total = 0u64;
-                            let mut reachable = true;
-                            for d in &fields {
-                                if d[idx] == UNREACHABLE {
-                                    reachable = false;
-                                    break;
-                                }
-                                total += u64::from(d[idx]);
+            let push_ring = |ring: Ring, heap: &mut BinaryHeap<Reverse<(u64, Site)>>| {
+                ring.for_each_region(|region| {
+                    for &a in state.atoms_in_region(region) {
+                        let site = state.site_of_atom(AtomId(a));
+                        let idx = lattice.index(site);
+                        let mut total = 0u64;
+                        let mut reachable = true;
+                        for d in &fields {
+                            if d[idx] == UNREACHABLE {
+                                reachable = false;
+                                break;
                             }
-                            if reachable {
-                                heap.push(Reverse((total, site)));
-                            }
+                            total += u64::from(d[idx]);
                         }
-                    },
-                );
+                        if reachable {
+                            heap.push(Reverse((total, site)));
+                        }
+                    }
+                });
             };
-            let mut next_k = 0u32;
 
             const ANCHOR_MARGIN: usize = 24;
             let mut best: Option<GatePosition> = None;
             let mut examined_since_best = 0usize;
             loop {
-                while next_k <= max_k {
-                    match heap.peek() {
-                        Some(&Reverse((c, _))) if (c as f64) < lb_cost(next_k) => break,
-                        _ => {
-                            push_ring(next_k, &mut heap);
-                            next_k += 1;
-                        }
-                    }
+                while let Some(ring) = rings.next_if(|ring| {
+                    heap.peek()
+                        .is_none_or(|&Reverse((c, _))| (c as f64) >= lb_cost(ring))
+                }) {
+                    push_ring(ring, &mut heap);
                 }
                 let Some(Reverse((anchor_cost, anchor))) = heap.pop() else {
                     break;

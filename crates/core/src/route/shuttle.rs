@@ -56,6 +56,62 @@ use crate::route::{
 };
 use crate::state::{MappingState, StateJournal};
 
+/// Fills `sites` so that its first `n` entries, with `n` the returned
+/// count (`scan`, or every site of a smaller lattice), are the lattice
+/// sites nearest to `point` in `(distance², site)` order, sorted.
+///
+/// Sites are gathered region ring by region ring around `point` rather
+/// than from the whole lattice: every site in a Chebyshev ring-`k`
+/// region lies strictly farther than `(k−1)·side` from the point (a gate
+/// centroid, whose fractional parts are multiples of `1/m`, so the slack
+/// dwarfs float rounding). Once that bound strictly exceeds the
+/// `scan`-th smallest collected distance, no uncollected site can enter
+/// the prefix. The key is a total order, so a partial selection (select
+/// the `scan` smallest, sort just those) gives the same prefix as
+/// sorting the whole lattice.
+fn nearest_sites(
+    state: &MappingState,
+    point: (f64, f64),
+    scan: usize,
+    sites: &mut Vec<Site>,
+) -> usize {
+    let lattice = state.lattice();
+    let grid = state.region_grid();
+    let by_point = |a: &Site, b: &Site| {
+        RoutingContext::dist_sq_to(point, *a)
+            .partial_cmp(&RoutingContext::dist_sq_to(point, *b))
+            .expect("finite")
+            .then(a.cmp(b))
+    };
+    sites.clear();
+    for ring in grid.rings(point.0, point.1) {
+        if ring.k() > 0 && sites.len() >= scan {
+            let lb = f64::from(ring.min_cells() - 1);
+            let (_, kth, _) = sites.select_nth_unstable_by(scan - 1, by_point);
+            if lb * lb > RoutingContext::dist_sq_to(point, *kth) {
+                break;
+            }
+        }
+        ring.for_each_region(|region| {
+            let (xs, ys) = grid.cells(region);
+            for y in ys {
+                for x in xs.clone() {
+                    let site = Site::new(x, y);
+                    if lattice.contains(site) {
+                        sites.push(site);
+                    }
+                }
+            }
+        });
+    }
+    let n = sites.len().min(scan);
+    if sites.len() > n {
+        sites.select_nth_unstable_by(n - 1, by_point);
+    }
+    sites[..n].sort_by(by_point);
+    n
+}
+
 /// One move of a chain, bound to the atom that travels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainMove {
@@ -210,70 +266,11 @@ impl ShuttleRouter {
             }
         }
         if best.is_none() {
-            // Fallback: scan anchors near the gate centroid. Only the
-            // first `SCAN` anchors are ever examined, so a partial
-            // selection (select the `SCAN` smallest, sort just those)
-            // replaces the full-lattice sort — the `(distance, site)`
-            // key is a total order, so the examined prefix is
-            // identical. Candidate sites are gathered region ring by
-            // region ring around the centroid rather than from the whole
-            // lattice: every site in a Chebyshev ring-`k` region lies
-            // strictly farther than `(k−1)·side` from the centroid (whose
-            // fractional parts are multiples of `1/m`, so the slack dwarfs
-            // float rounding), so once that bound strictly exceeds the
-            // `SCAN`-th smallest collected distance no uncollected site
-            // can enter the examined prefix — the collected set provably
-            // contains the true top `SCAN` and the selection below is
-            // byte-identical to the full-lattice scan.
+            // Fallback: try the `SCAN` sites nearest the gate centroid as
+            // anchors, nearest first.
             const SCAN: usize = 64;
-            let state = &*p.state;
-            let lattice = state.lattice();
-            let centroid = crate::route::context::centroid_of(state, qubits);
-            let by_centroid = |a: &Site, b: &Site| {
-                RoutingContext::dist_sq_to(centroid, *a)
-                    .partial_cmp(&RoutingContext::dist_sq_to(centroid, *b))
-                    .expect("finite")
-                    .then(a.cmp(b))
-            };
-            let grid = p.table_int.regions();
-            let (regions_x, regions_y) = grid.dims();
-            let side = grid.side();
-            let cx = ((centroid.0.max(0.0) as u32) / side).min(regions_x - 1);
-            let cy = ((centroid.1.max(0.0) as u32) / side).min(regions_y - 1);
-            let max_k = (cx.max(regions_x - 1 - cx)).max(cy.max(regions_y - 1 - cy));
-            p.shuttle.anchor_sites.clear();
-            {
-                let sites = &mut p.shuttle.anchor_sites;
-                for k in 0..=max_k {
-                    if k > 0 && sites.len() >= SCAN {
-                        let lb = f64::from((k - 1) * side);
-                        let (_, kth, _) = sites.select_nth_unstable_by(SCAN - 1, by_centroid);
-                        if lb * lb > RoutingContext::dist_sq_to(centroid, *kth) {
-                            break;
-                        }
-                    }
-                    na_arch::RegionGrid::for_each_ring_region(
-                        regions_x,
-                        regions_y,
-                        cx,
-                        cy,
-                        k,
-                        &mut |rx, ry| {
-                            let region = ry * regions_x + rx;
-                            for &idx in grid.sites_in(region) {
-                                sites.push(lattice.site(idx as usize));
-                            }
-                        },
-                    );
-                }
-            }
-            let scan = p.shuttle.anchor_sites.len().min(SCAN);
-            if p.shuttle.anchor_sites.len() > scan {
-                p.shuttle
-                    .anchor_sites
-                    .select_nth_unstable_by(scan - 1, by_centroid);
-            }
-            p.shuttle.anchor_sites[..scan].sort_by(by_centroid);
+            let centroid = crate::route::context::centroid_of(p.state, qubits);
+            let scan = nearest_sites(p.state, centroid, SCAN, &mut p.shuttle.anchor_sites);
             for i in 0..scan {
                 let anchor = p.shuttle.anchor_sites[i];
                 if let Some(cost) = self.simulate_chain(
@@ -631,7 +628,9 @@ impl Router for ShuttleRouter {
 mod tests {
     use super::*;
 
+    use crate::layout::InitialLayout;
     use crate::route::RouteScratch;
+    use na_arch::Lattice;
 
     fn params(side: u32, atoms: u32, r: f64) -> HardwareParams {
         HardwareParams::shuttling()
@@ -648,6 +647,44 @@ mod tests {
             op_index: 0,
             qubits: qubits.iter().map(|&q| Qubit(q)).collect(),
             capability: Capability::Shuttling,
+        }
+    }
+
+    #[test]
+    fn fallback_anchors_match_full_lattice_sort() {
+        const SCAN: usize = 64;
+        let p = params(100, 400, 2.0);
+        for lattice in [Lattice::new(100), Lattice::zoned(100, 2, 1).expect("valid")] {
+            let state =
+                MappingState::on_lattice(&p, lattice, 8, InitialLayout::Identity).expect("fits");
+            let by_point = |point: (f64, f64)| {
+                move |a: &Site, b: &Site| {
+                    RoutingContext::dist_sq_to(point, *a)
+                        .partial_cmp(&RoutingContext::dist_sq_to(point, *b))
+                        .expect("finite")
+                        .then(a.cmp(b))
+                }
+            };
+            let mut sites = Vec::new();
+            for point in [
+                (0.0, 0.0),
+                (99.0, 1.0 / 3.0),
+                (50.5, 99.0),
+                (0.0, 47.0 + 2.0 / 3.0),
+                (49.5, 50.0 + 1.0 / 3.0),
+            ] {
+                let n = nearest_sites(&state, point, SCAN, &mut sites);
+                assert_eq!(n, SCAN);
+                assert!(
+                    sites.len() < lattice.num_sites() / 4,
+                    "ring walk stops early: gathered {} of {}",
+                    sites.len(),
+                    lattice.num_sites()
+                );
+                let mut reference: Vec<Site> = lattice.iter().collect();
+                reference.sort_by(by_point(point));
+                assert_eq!(sites[..n], reference[..SCAN], "{lattice:?} at {point:?}");
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! shuttling-based routing permutes `f_a` via [`MappingState::apply_move`]
 //! (paper §2.2 and Example 4).
 
-use na_arch::{HardwareParams, Lattice, Neighborhood, Site};
+use na_arch::{HardwareParams, Lattice, RegionGrid, Site};
 use na_circuit::Qubit;
 
 use crate::error::MapError;
@@ -47,31 +47,15 @@ pub struct MappingState {
     atom_at_site: Vec<Option<AtomId>>,
     qubit_of_atom: Vec<Option<Qubit>>,
     atom_of_qubit: Vec<AtomId>,
-    /// Dense indices of the currently free sites, in no particular
-    /// order — kept in sync by every move so free-site queries scan
-    /// `O(free)` instead of `O(sites)` (on the paper's near-full arrays
-    /// free sites are the small minority).
-    free_sites: Vec<u32>,
-    /// Per site: position of that site inside `free_sites`, or
-    /// `u32::MAX` when the site is occupied.
-    free_pos: Vec<u32>,
-    /// Side length (in sites) of the coarse regions below — the same
-    /// [`na_arch::RegionGrid::DEFAULT_SIDE`] the neighbor table uses, so
-    /// the state's buckets and the router's region graph agree on what a
-    /// "region" is.
-    region_side: u32,
-    /// Region-grid width in regions.
-    regions_x: u32,
-    /// Region-grid height in regions.
-    regions_y: u32,
-    /// Per site: its coarse region, from [`na_arch::RegionGrid::partition`].
-    region_of_site: Vec<u32>,
+    /// The coarse regions (at [`RegionGrid::DEFAULT_SIDE`]) the
+    /// occupancy buckets below are filed under.
+    grid: RegionGrid,
     /// Per region: dense indices of the free sites inside it, in no
-    /// particular order. Lets proximity queries walk outward region ring
-    /// by region ring instead of scanning the global free list — on a
-    /// 100×100 lattice with thousands of atoms, the global scan is four
-    /// orders of magnitude more work than the two or three rings a
-    /// typical query touches.
+    /// particular order — the state's one free-site index. Lets
+    /// proximity queries walk outward region ring by region ring instead
+    /// of scanning every free site: on a 100×100 lattice with thousands
+    /// of atoms, a full scan is four orders of magnitude more work than
+    /// the two or three rings a typical query touches.
     free_by_region: Vec<Vec<u32>>,
     /// Per site: slot inside its region's `free_by_region` bucket, or
     /// `u32::MAX` when occupied.
@@ -97,6 +81,17 @@ fn next_occupancy_stamp() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Removes the entry at `slot` of an unordered bucket by moving the
+/// bucket's last entry into its place, and records that entry's new
+/// slot in `slots`.
+fn swap_remove_slot(bucket: &mut Vec<u32>, slots: &mut [u32], slot: usize) {
+    let last = bucket.pop().expect("bucket non-empty");
+    if slot < bucket.len() {
+        bucket[slot] = last;
+        slots[last as usize] = slot as u32;
+    }
 }
 
 /// One recorded mutation of a [`MappingState`], enough for exact revert.
@@ -184,12 +179,7 @@ impl Clone for MappingState {
             atom_at_site: self.atom_at_site.clone(),
             qubit_of_atom: self.qubit_of_atom.clone(),
             atom_of_qubit: self.atom_of_qubit.clone(),
-            free_sites: self.free_sites.clone(),
-            free_pos: self.free_pos.clone(),
-            region_side: self.region_side,
-            regions_x: self.regions_x,
-            regions_y: self.regions_y,
-            region_of_site: self.region_of_site.clone(),
+            grid: self.grid,
             free_by_region: self.free_by_region.clone(),
             free_slot: self.free_slot.clone(),
             atoms_by_region: self.atoms_by_region.clone(),
@@ -291,33 +281,22 @@ impl MappingState {
             })
             .collect();
         let atom_of_qubit = (0..num_qubits).map(AtomId).collect();
-        // The subtraction cannot underflow: the `num_atoms >= num_sites`
-        // guard above already rejected over- and exactly-full topologies
-        // with a typed `TooManyAtoms`, so `num_sites > num_atoms` holds
-        // here (the routers need at least one free site to shuttle
-        // through anyway).
-        let mut free_sites = Vec::with_capacity(lattice.num_sites() - num_atoms);
-        let mut free_pos = vec![u32::MAX; lattice.num_sites()];
-        for (idx, occupant) in atom_at_site.iter().enumerate() {
-            if occupant.is_none() {
-                free_pos[idx] = free_sites.len() as u32;
-                free_sites.push(idx as u32);
-            }
-        }
-        let (regions_x, regions_y, region_of_site) =
-            na_arch::RegionGrid::partition(&lattice, na_arch::RegionGrid::DEFAULT_SIDE);
+        let grid = RegionGrid::new(&lattice, RegionGrid::DEFAULT_SIDE);
+        let (regions_x, regions_y) = grid.dims();
         let num_regions = (regions_x * regions_y) as usize;
         let mut free_by_region = vec![Vec::new(); num_regions];
         let mut free_slot = vec![u32::MAX; lattice.num_sites()];
-        for &idx in &free_sites {
-            let r = region_of_site[idx as usize] as usize;
-            free_slot[idx as usize] = free_by_region[r].len() as u32;
-            free_by_region[r].push(idx);
+        for (idx, occupant) in atom_at_site.iter().enumerate() {
+            if occupant.is_none() {
+                let r = grid.region_of(lattice.site(idx));
+                free_slot[idx] = free_by_region[r].len() as u32;
+                free_by_region[r].push(idx as u32);
+            }
         }
         let mut atoms_by_region = vec![Vec::new(); num_regions];
         let mut atom_region_slot = vec![u32::MAX; num_atoms];
         for (a, site) in site_of_atom.iter().enumerate() {
-            let r = region_of_site[lattice.index(*site)] as usize;
+            let r = grid.region_of(*site);
             atom_region_slot[a] = atoms_by_region[r].len() as u32;
             atoms_by_region[r].push(a as u32);
         }
@@ -327,12 +306,7 @@ impl MappingState {
             atom_at_site,
             qubit_of_atom,
             atom_of_qubit,
-            free_sites,
-            free_pos,
-            region_side: na_arch::RegionGrid::DEFAULT_SIDE,
-            regions_x,
-            regions_y,
-            region_of_site,
+            grid,
             free_by_region,
             free_slot,
             atoms_by_region,
@@ -419,72 +393,37 @@ impl MappingState {
         self.atom_at_site[idx].is_none()
     }
 
-    /// Dense indices of the currently free sites, in unspecified order.
-    #[inline]
-    pub fn free_site_indices(&self) -> &[u32] {
-        &self.free_sites
-    }
-
-    /// Removes `idx` from / adds `idx` to the free-site list — the only
-    /// two places occupancy flips, shared by moves and their undo. Both
-    /// mirror the flip into the per-region free bucket, so the global
-    /// list and the region index can never disagree.
-    #[inline]
-    fn mark_occupied(&mut self, idx: usize) {
-        let pos = self.free_pos[idx] as usize;
-        debug_assert_ne!(pos as u32, u32::MAX, "site already occupied");
-        let last = self.free_sites.pop().expect("free list non-empty");
-        if pos < self.free_sites.len() {
-            self.free_sites[pos] = last;
-            self.free_pos[last as usize] = pos as u32;
-        } else {
-            debug_assert_eq!(last, idx as u32, "free list out of sync");
+    /// Moves `atom` from its site to the free site `to`: the occupancy
+    /// map, the per-region free-site buckets and the per-region atom
+    /// buckets flip together. Shared by [`MappingState::apply_move`] and
+    /// its undo, so the indexes can never disagree.
+    fn relocate(&mut self, atom: AtomId, to: Site) {
+        let from = self.site_of_atom[atom.index()];
+        let (from_idx, to_idx) = (self.lattice.index(from), self.lattice.index(to));
+        let (from_region, to_region) = (self.grid.region_of(from), self.grid.region_of(to));
+        self.atom_at_site[from_idx] = None;
+        self.free_slot[from_idx] = self.free_by_region[from_region].len() as u32;
+        self.free_by_region[from_region].push(from_idx as u32);
+        self.atom_at_site[to_idx] = Some(atom);
+        let slot = self.free_slot[to_idx] as usize;
+        debug_assert_ne!(slot as u32, u32::MAX, "site already occupied");
+        swap_remove_slot(
+            &mut self.free_by_region[to_region],
+            &mut self.free_slot,
+            slot,
+        );
+        self.free_slot[to_idx] = u32::MAX;
+        if from_region != to_region {
+            let slot = self.atom_region_slot[atom.index()] as usize;
+            swap_remove_slot(
+                &mut self.atoms_by_region[from_region],
+                &mut self.atom_region_slot,
+                slot,
+            );
+            self.atom_region_slot[atom.index()] = self.atoms_by_region[to_region].len() as u32;
+            self.atoms_by_region[to_region].push(atom.0);
         }
-        self.free_pos[idx] = u32::MAX;
-        let region = self.region_of_site[idx] as usize;
-        let slot = self.free_slot[idx] as usize;
-        let bucket = &mut self.free_by_region[region];
-        let last = bucket.pop().expect("region free bucket non-empty");
-        if slot < bucket.len() {
-            bucket[slot] = last;
-            self.free_slot[last as usize] = slot as u32;
-        } else {
-            debug_assert_eq!(last, idx as u32, "region free bucket out of sync");
-        }
-        self.free_slot[idx] = u32::MAX;
-    }
-
-    #[inline]
-    fn mark_free(&mut self, idx: usize) {
-        debug_assert_eq!(self.free_pos[idx], u32::MAX, "site already free");
-        self.free_pos[idx] = self.free_sites.len() as u32;
-        self.free_sites.push(idx as u32);
-        let region = self.region_of_site[idx] as usize;
-        self.free_slot[idx] = self.free_by_region[region].len() as u32;
-        self.free_by_region[region].push(idx as u32);
-    }
-
-    /// Re-files `atom` from the region of `from_idx` into the region of
-    /// `to_idx` after a shuttle (or its undo). No-op when both sites
-    /// share a region.
-    #[inline]
-    fn relocate_atom_region(&mut self, atom: AtomId, from_idx: usize, to_idx: usize) {
-        let from_region = self.region_of_site[from_idx] as usize;
-        let to_region = self.region_of_site[to_idx] as usize;
-        if from_region == to_region {
-            return;
-        }
-        let slot = self.atom_region_slot[atom.index()] as usize;
-        let bucket = &mut self.atoms_by_region[from_region];
-        let last = bucket.pop().expect("region atom bucket non-empty");
-        if slot < bucket.len() {
-            bucket[slot] = last;
-            self.atom_region_slot[last as usize] = slot as u32;
-        } else {
-            debug_assert_eq!(last, atom.0, "region atom bucket out of sync");
-        }
-        self.atom_region_slot[atom.index()] = self.atoms_by_region[to_region].len() as u32;
-        self.atoms_by_region[to_region].push(atom.0);
+        self.site_of_atom[atom.index()] = to;
     }
 
     /// Exchanges the circuit qubits of two atoms — the effect of a SWAP
@@ -517,15 +456,7 @@ impl MappingState {
     pub fn apply_move(&mut self, atom: AtomId, to: Site) {
         assert!(self.lattice.contains(to), "move target {to} out of bounds");
         assert!(self.is_free(to), "move target {to} is occupied");
-        let from = self.site_of_atom[atom.index()];
-        let from_idx = self.lattice.index(from);
-        let to_idx = self.lattice.index(to);
-        self.atom_at_site[from_idx] = None;
-        self.mark_free(from_idx);
-        self.atom_at_site[to_idx] = Some(atom);
-        self.mark_occupied(to_idx);
-        self.relocate_atom_region(atom, from_idx, to_idx);
-        self.site_of_atom[atom.index()] = to;
+        self.relocate(atom, to);
         self.occupancy_stamp = next_occupancy_stamp();
     }
 
@@ -582,46 +513,17 @@ impl MappingState {
                     from,
                     stamp_before,
                 } => {
-                    let here = self.site_of_atom[atom.index()];
-                    let here_idx = self.lattice.index(here);
-                    let from_idx = self.lattice.index(from);
-                    self.atom_at_site[here_idx] = None;
-                    self.mark_free(here_idx);
-                    self.atom_at_site[from_idx] = Some(atom);
-                    self.mark_occupied(from_idx);
-                    self.relocate_atom_region(atom, here_idx, from_idx);
-                    self.site_of_atom[atom.index()] = from;
+                    self.relocate(atom, from);
                     self.occupancy_stamp = stamp_before;
                 }
             }
         }
     }
 
-    /// Occupied sites within `hood` of `center` (excluding `center`).
-    pub fn occupied_within(&self, center: Site, hood: &Neighborhood) -> Vec<Site> {
-        hood.around(center)
-            .filter(|s| self.lattice.contains(*s) && !self.is_free(*s))
-            .collect()
-    }
-
-    /// Free sites within `hood` of `center`.
-    pub fn free_within(&self, center: Site, hood: &Neighborhood) -> Vec<Site> {
-        hood.around(center)
-            .filter(|s| self.lattice.contains(*s) && self.is_free(*s))
-            .collect()
-    }
-
-    /// Side length (in sites) of the coarse regions the state's
-    /// occupancy buckets are filed under.
+    /// The coarse region grid the occupancy buckets are filed under.
     #[inline]
-    pub fn region_side(&self) -> u32 {
-        self.region_side
-    }
-
-    /// Region-grid dimensions `(regions_x, regions_y)`.
-    #[inline]
-    pub fn region_dims(&self) -> (u32, u32) {
-        (self.regions_x, self.regions_y)
+    pub fn region_grid(&self) -> RegionGrid {
+        self.grid
     }
 
     /// The atoms currently inside `region` (row-major region index), in
@@ -633,58 +535,39 @@ impl MappingState {
         &self.atoms_by_region[region]
     }
 
-    /// Dense indices of the free sites currently inside `region`
-    /// (row-major region index), in unspecified order.
-    #[inline]
-    pub fn free_in_region(&self, region: usize) -> &[u32] {
-        &self.free_by_region[region]
-    }
-
     /// The nearest free site to `from` (Euclidean, ties by site order),
     /// excluding the sites in `excluded`. Returns `None` when the lattice
     /// has no free site outside `excluded`.
     ///
     /// Walks the per-region free buckets outward ring by ring from
     /// `from`'s region and stops at the first ring whose distance lower
-    /// bound ([`na_arch::RegionGrid::ring_min_cells`]) strictly exceeds
+    /// bound ([`RegionGrid::ring_min_cells`]) strictly exceeds
     /// the best distance found — on a mega lattice a query touches a
     /// handful of regions instead of every free site. The minimum is
     /// taken under the same `(distance², site)` key the old full scans
     /// used, and the stop condition is strict (a ring is still scanned
     /// when its bound ties the incumbent), so the winner is identical.
     pub fn nearest_free_site(&self, from: Site, excluded: &[Site]) -> Option<Site> {
-        let side = self.region_side;
-        let cx = ((from.x.max(0) as u32) / side).min(self.regions_x - 1);
-        let cy = ((from.y.max(0) as u32) / side).min(self.regions_y - 1);
-        let max_k = (cx.max(self.regions_x - 1 - cx)).max(cy.max(self.regions_y - 1 - cy));
         let mut best: Option<(i64, Site)> = None;
-        for k in 0..=max_k {
+        for ring in self.grid.rings(f64::from(from.x), f64::from(from.y)) {
             if let Some((best_d2, _)) = best {
-                let lb = i64::from(na_arch::RegionGrid::ring_min_cells(side, k));
+                let lb = i64::from(ring.min_cells());
                 if lb * lb > best_d2 {
                     break;
                 }
             }
-            na_arch::RegionGrid::for_each_ring_region(
-                self.regions_x,
-                self.regions_y,
-                cx,
-                cy,
-                k,
-                &mut |rx, ry| {
-                    let region = (ry * self.regions_x + rx) as usize;
-                    for &idx in &self.free_by_region[region] {
-                        let s = self.lattice.site(idx as usize);
-                        if excluded.contains(&s) {
-                            continue;
-                        }
-                        let key = (from.distance_sq(s), s);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
+            ring.for_each_region(|region| {
+                for &idx in &self.free_by_region[region] {
+                    let s = self.lattice.site(idx as usize);
+                    if excluded.contains(&s) {
+                        continue;
                     }
-                },
-            );
+                    let key = (from.distance_sq(s), s);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                }
+            });
         }
         best.map(|(_, s)| s)
     }
@@ -740,31 +623,16 @@ impl MappingState {
                 return Err(format!("qubit {qi} and atom {atom} maps out of sync"));
             }
         }
-        if self.free_sites.len() != self.lattice.num_sites() - self.num_atoms() {
-            return Err(format!(
-                "free list holds {} sites, expected {}",
-                self.free_sites.len(),
-                self.lattice.num_sites() - self.num_atoms()
-            ));
-        }
-        for (pos, &idx) in self.free_sites.iter().enumerate() {
-            if self.atom_at_site[idx as usize].is_some() {
-                return Err(format!("free list entry {idx} is occupied"));
-            }
-            if self.free_pos[idx as usize] != pos as u32 {
-                return Err(format!("free list position of site {idx} out of sync"));
-            }
-        }
+        let free = self.lattice.num_sites() - self.num_atoms();
         let bucketed_free: usize = self.free_by_region.iter().map(Vec::len).sum();
-        if bucketed_free != self.free_sites.len() {
+        if bucketed_free != free {
             return Err(format!(
-                "region free buckets hold {bucketed_free} sites, free list holds {}",
-                self.free_sites.len()
+                "region free buckets hold {bucketed_free} sites, expected {free}"
             ));
         }
         for (region, bucket) in self.free_by_region.iter().enumerate() {
             for (slot, &idx) in bucket.iter().enumerate() {
-                if self.region_of_site[idx as usize] as usize != region {
+                if self.grid.region_of(self.lattice.site(idx as usize)) != region {
                     return Err(format!("site {idx} filed in wrong region {region}"));
                 }
                 if self.atom_at_site[idx as usize].is_some() {
@@ -784,8 +652,7 @@ impl MappingState {
         }
         for (region, bucket) in self.atoms_by_region.iter().enumerate() {
             for (slot, &a) in bucket.iter().enumerate() {
-                let site_idx = self.lattice.index(self.site_of_atom[a as usize]);
-                if self.region_of_site[site_idx] as usize != region {
+                if self.grid.region_of(self.site_of_atom[a as usize]) != region {
                     return Err(format!("atom {a} filed in wrong region {region}"));
                 }
                 if self.atom_region_slot[a as usize] != slot as u32 {
@@ -870,11 +737,9 @@ mod tests {
     #[test]
     fn exactly_full_lattice_rejected_before_capacity_math() {
         // 4x4 box zoned 1+1 → exactly 8 traps for 8 atoms. The `>=`
-        // guard must reject this as TooManyAtoms *before* the
-        // free-capacity subtraction `num_sites - num_atoms` runs (it
-        // would be 0, not an underflow — but an exactly-full register
-        // leaves shuttling nowhere to go, so it is a typed error, not a
-        // degenerate success).
+        // guard must reject this as TooManyAtoms: an exactly-full
+        // register leaves shuttling nowhere to go, so it is a typed
+        // error, not a degenerate success.
         let p = HardwareParams::mixed()
             .to_builder()
             .lattice(4, 3.0)
@@ -891,9 +756,8 @@ mod tests {
 
     #[test]
     fn oversubscribed_lattice_rejected_with_typed_error() {
-        // 16 atoms on 8 traps: the same guard catches the `>` case, so
-        // `Vec::with_capacity(num_sites - num_atoms)` can never see
-        // `num_atoms > num_sites` (which would panic on underflow).
+        // 15 atoms on 8 traps: the same guard catches the `>` case, so
+        // the free count `num_sites - num_atoms` can never underflow.
         let p = HardwareParams::mixed()
             .to_builder()
             .lattice(4, 3.0)
@@ -978,11 +842,23 @@ mod tests {
         assert_eq!(second, Site::new(3, 2));
     }
 
+    /// Asserts that the ring walk returns exactly what a scan over every
+    /// free site under the same `(distance², site)` key would.
+    fn assert_nearest_free_matches_exhaustive_scan(s: &MappingState, froms: &[Site]) {
+        let excluded = [Site::new(0, 18), Site::new(1, 18)];
+        for &from in froms {
+            let reference = (0..s.lattice().num_sites())
+                .filter(|&idx| s.is_free_index(idx))
+                .map(|idx| s.lattice().site(idx))
+                .filter(|site| !excluded.contains(site))
+                .min_by_key(|site| (from.distance_sq(*site), *site));
+            assert_eq!(s.nearest_free_site(from, &excluded), reference, "{from}");
+        }
+    }
+
     #[test]
     fn ring_walk_nearest_free_matches_exhaustive_scan_on_mega_lattice() {
-        // 40x40 lattice (5x5 regions at side 8), sparsely occupied: the
-        // ring walk must return exactly what a full free-list scan
-        // under the same (distance², site) key would.
+        // 40x40 lattice (5x5 regions at side 8), sparsely occupied.
         let p = HardwareParams::mixed()
             .to_builder()
             .lattice(40, 3.0)
@@ -1000,26 +876,54 @@ mod tests {
             s.apply_move(AtomId(a), target);
         }
         s.check_invariants().unwrap();
-        let excluded = [Site::new(0, 18), Site::new(1, 18)];
-        for from in [
-            Site::new(0, 0),
-            Site::new(5, 17),
-            Site::new(39, 0),
-            Site::new(20, 20),
-            Site::new(39, 39),
+        assert_nearest_free_matches_exhaustive_scan(
+            &s,
+            &[
+                Site::new(0, 0),
+                Site::new(5, 17),
+                Site::new(39, 0),
+                Site::new(20, 20),
+                Site::new(39, 39),
+            ],
+        );
+    }
+
+    #[test]
+    fn ring_walk_nearest_free_matches_exhaustive_scan_on_zoned_lattice() {
+        // 41-row box in bands of 2 trap rows + 1 lane (28 trap rows):
+        // the region grid counts lane rows into its 6 region rows, and
+        // every region straddles lanes.
+        let p = HardwareParams::mixed()
+            .to_builder()
+            .lattice(41, 3.0)
+            .num_atoms(700)
+            .build()
+            .expect("valid");
+        let lattice = Lattice::zoned(41, 2, 1).expect("valid");
+        assert_eq!(RegionGrid::new(&lattice, 8).dims(), (6, 6));
+        let mut s =
+            MappingState::on_lattice(&p, lattice, 64, InitialLayout::Identity).expect("fits");
+        for (a, target) in [
+            (0u32, Site::new(40, 40)),
+            (1, Site::new(20, 25)),
+            (2, Site::new(0, 39)),
+            (3, Site::new(33, 30)),
+            (4, Site::new(8, 34)),
         ] {
-            let reference = s
-                .free_site_indices()
-                .iter()
-                .map(|&idx| s.lattice().site(idx as usize))
-                .filter(|site| !excluded.contains(site))
-                .min_by(|a, b| {
-                    from.distance_sq(*a)
-                        .cmp(&from.distance_sq(*b))
-                        .then(a.cmp(b))
-                });
-            assert_eq!(s.nearest_free_site(from, &excluded), reference);
+            s.apply_move(AtomId(a), target);
         }
+        s.check_invariants().unwrap();
+        assert_nearest_free_matches_exhaustive_scan(
+            &s,
+            &[
+                Site::new(0, 0),
+                Site::new(5, 16),
+                Site::new(40, 0),
+                Site::new(20, 19),
+                Site::new(40, 40),
+                Site::new(7, 34),
+            ],
+        );
     }
 
     #[test]
@@ -1032,8 +936,9 @@ mod tests {
             .expect("valid");
         let mut s = MappingState::identity(&p, 10).expect("fits");
         let reference = s.clone();
-        assert_eq!(s.region_side(), na_arch::RegionGrid::DEFAULT_SIDE);
-        assert_eq!(s.region_dims(), (3, 3));
+        let grid = s.region_grid();
+        assert_eq!(grid, RegionGrid::new(s.lattice(), RegionGrid::DEFAULT_SIDE));
+        assert_eq!(grid.dims(), (3, 3));
         // All 30 atoms start in rows 0-1 => region 0 (x<8) and 1 (x in 8..16)
         // and 2 (x >= 16).
         assert_eq!(
@@ -1043,30 +948,16 @@ mod tests {
         let mut j = StateJournal::new();
         let mark = j.mark();
         // Cross-region move: (row 0) -> (18, 18) = region 8.
-        s.apply_move_journaled(AtomId(0), Site::new(18, 18), &mut j);
+        let target = Site::new(18, 18);
+        assert_eq!(grid.region_of(target), 8);
+        s.apply_move_journaled(AtomId(0), target, &mut j);
         assert!(s.atoms_in_region(8).contains(&0));
-        assert!(s
-            .free_in_region(8)
-            .iter()
-            .all(|&idx| { s.lattice().site(idx as usize) != Site::new(18, 18) }));
+        assert!(!s.atoms_in_region(0).contains(&0));
         s.check_invariants().unwrap();
         s.undo_to(&mut j, mark);
         assert_eq!(s, reference);
+        assert!(s.atoms_in_region(0).contains(&0));
         s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn occupied_and_free_partition_vicinity() {
-        let s = state();
-        let hood = Neighborhood::new(2.0);
-        let center = Site::new(1, 1);
-        let occ = s.occupied_within(center, &hood);
-        let free = s.free_within(center, &hood);
-        let total = hood
-            .around(center)
-            .filter(|x| s.lattice().contains(*x))
-            .count();
-        assert_eq!(occ.len() + free.len(), total);
     }
 
     #[test]

@@ -26,12 +26,12 @@ fn scattered_state(lattice: Lattice, num_atoms: u32, seed: u64) -> MappingState 
         rng = rng
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let free = state.free_site_indices();
-        if free.is_empty() {
-            break;
-        }
-        let pick = free[(rng >> 33) as usize % free.len()] as usize;
-        let site = state.lattice().site(pick);
+        let free: Vec<usize> = (0..state.lattice().num_sites())
+            .filter(|&idx| state.is_free_index(idx))
+            .collect();
+        let site = state
+            .lattice()
+            .site(free[(rng >> 33) as usize % free.len()]);
         state.apply_move(AtomId(a), site);
     }
     state

@@ -93,9 +93,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// compilation output — physics parameters, topology, AOD constraints
 /// and native gate set — via the job layer's canonical target JSON.
 ///
-/// Derived data ([`TargetSpec::interaction_table`] and the region grid
-/// it carries) is a pure function of the hashed fields and deliberately not
-/// hashed; two specs with equal descriptions hash equal even if one
+/// Derived data ([`TargetSpec::interaction_table`]) is a pure function
+/// of the hashed fields and deliberately not hashed; two specs with equal descriptions hash equal even if one
 /// was resolved and the other assembled by hand.
 pub fn target_fingerprint(spec: &TargetSpec) -> u64 {
     target_parts_fingerprint(&spec.params, &spec.lattice, spec.aod, spec.gates)
@@ -103,7 +102,7 @@ pub fn target_fingerprint(spec: &TargetSpec) -> u64 {
 
 /// [`target_fingerprint`] from pre-resolution parts — what the
 /// [`TargetResolver`](crate::job::TargetResolver) hashes *before*
-/// paying for CSR/region-graph resolution.
+/// paying for CSR interaction-table resolution.
 pub(crate) fn target_parts_fingerprint(
     params: &na_arch::HardwareParams,
     lattice: &Lattice,

@@ -219,8 +219,8 @@ impl CompileRequest {
     /// [`CompileRequest::from_json`] with a caller-owned
     /// [`TargetResolver`]: repeated documents naming the same target
     /// (by content, not by identity) reuse the resolved [`TargetSpec`]
-    /// snapshot instead of re-deriving the CSR interaction table and
-    /// region graph — the hot parse path of a long-running service.
+    /// snapshot instead of re-deriving the CSR interaction table — the
+    /// hot parse path of a long-running service.
     ///
     /// # Errors
     ///
@@ -688,7 +688,7 @@ fn preset_of(p: &HardwareParams) -> &'static str {
 /// serialization behind both [`CompileRequest::to_json`] and the
 /// content fingerprints of [`crate::fingerprint`]. Every field that
 /// determines compilation output is written explicitly; derived data
-/// (CSR adjacency, region graph) is not part of the description.
+/// (CSR adjacency) is not part of the description.
 pub(crate) fn target_parts_to_json(
     p: &HardwareParams,
     lattice: &Lattice,
@@ -745,7 +745,7 @@ pub(crate) fn target_parts_to_json(
 
 /// A parsed-but-unresolved target: every descriptive field of a
 /// [`TargetSpec`] *before* the (comparatively expensive) CSR
-/// interaction-table and region-graph derivation.
+/// interaction-table derivation.
 #[derive(Debug, Clone)]
 struct TargetDescriptor {
     id: String,
@@ -766,7 +766,7 @@ impl TargetDescriptor {
         )
     }
 
-    /// Pays for CSR/region-graph derivation.
+    /// Pays for CSR interaction-table derivation.
     fn resolve(self) -> TargetSpec {
         TargetSpec::resolve(self.id, self.params, self.lattice, self.aod, self.gates)
     }
@@ -774,8 +774,8 @@ impl TargetDescriptor {
 
 /// A content-hash cache of resolved [`TargetSpec`] snapshots.
 ///
-/// Resolving a spec derives the CSR interaction table and region graph
-/// — `O(sites · hood)` work that a service would otherwise repeat on
+/// Resolving a spec derives the CSR interaction table — `O(sites ·
+/// hood)` work that a service would otherwise repeat on
 /// every request naming the same machine. The resolver hashes the
 /// *description* (FNV-1a over the canonical target JSON, see
 /// [`crate::fingerprint`]) and clones the previously resolved snapshot
@@ -1127,6 +1127,21 @@ mod tests {
         assert!(req.baseline);
         assert_eq!(req.threads, 1);
         assert_eq!(req.circuits.len(), 1);
+    }
+
+    #[test]
+    fn deeply_nested_document_is_a_typed_error_on_a_small_stack() {
+        // 200 000 open brackets on a 2 MiB stack (an HTTP connection
+        // thread's size): unbounded recursion would overflow the stack
+        // and abort the process instead of answering.
+        let reply = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| handle_json_document(&"[".repeat(200_000)))
+            .expect("spawn")
+            .join()
+            .expect("no panic");
+        assert!(reply.contains("\"kind\":\"request\""), "{reply}");
+        assert!(reply.contains("nesting deeper than 64 levels"), "{reply}");
     }
 
     #[test]

@@ -6,8 +6,16 @@
 //! strings with escapes, numbers, booleans, null — with byte-offset
 //! error reporting. Sufficient for request/response documents; not a
 //! general-purpose streaming parser.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays/objects: each level costs a
+//! few stack frames, and a stack overflow aborts the whole process (no
+//! unwind to catch), so a deeper document is a typed parse error.
 
 use super::RequestError;
+
+/// Deepest array/object nesting a document may use; real job documents
+/// nest four levels.
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,6 +102,7 @@ pub(crate) fn parse(text: &str) -> Result<Value, RequestError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -107,6 +116,8 @@ pub(crate) fn parse(text: &str) -> Result<Value, RequestError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -147,8 +158,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, RequestError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -328,6 +350,25 @@ mod tests {
                 "`{bad}` should fail"
             );
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&format!("{{\"a\": {}}}", nested(MAX_DEPTH - 1))).is_ok());
+        // The error points at the first bracket past the cap.
+        assert!(matches!(
+            parse(&nested(MAX_DEPTH + 1)),
+            Err(RequestError::Parse {
+                offset: MAX_DEPTH,
+                ..
+            })
+        ));
+        assert!(matches!(
+            parse(&format!("{{\"a\": {}}}", nested(MAX_DEPTH))),
+            Err(RequestError::Parse { offset: 69, .. })
+        ));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! The ring cutoff is exact in integer arithmetic:
 //! [`RegionGrid::ring_min_cells`] lower-bounds the distance between
 //! sites whose regions are Chebyshev ring distance `k` apart, so ring
-//! `k` is skipped iff `ring_min_cells(side, k)² >`
+//! `k` is skipped iff `ring_min_cells(k)² >`
 //! [`Site::within_threshold_sq`]`(r)` — the same integer threshold the
 //! geometry test uses, so no float rounding can disagree.
 //!
@@ -63,13 +63,8 @@ struct IntervalSlot {
 /// retirement, so stale entries are bounded by the sweep lag.
 #[derive(Debug, Clone)]
 pub struct RestrictIndex {
-    lattice: Lattice,
-    /// Region edge length in lattice cells (≥ 1).
-    side: u32,
-    regions_x: u32,
-    regions_y: u32,
-    /// Dense site index → region id (from [`RegionGrid::partition`]).
-    region_of: Vec<u32>,
+    /// The region partition, at a side derived from the radius.
+    grid: RegionGrid,
     /// Largest region ring that can hold a site within the restriction
     /// radius of a query site.
     k_max: u32,
@@ -105,21 +100,18 @@ impl RestrictIndex {
     /// covers at most one radius of sites.
     pub fn new(lattice: Lattice, r: f64) -> Self {
         let side = (r.ceil().max(1.0) as u32).clamp(1, RegionGrid::DEFAULT_SIDE);
-        let (regions_x, regions_y, region_of) = RegionGrid::partition(&lattice, side);
+        let grid = RegionGrid::new(&lattice, side);
+        let (regions_x, regions_y) = grid.dims();
         let threshold_sq = Site::within_threshold_sq(r);
         // Ring k is reachable iff its minimal site distance can still
         // conflict under the integer threshold — the exact test the
         // geometry kernel applies, so the cutoff can never under-filter.
         let mut k_max = 0u32;
-        while i64::from(RegionGrid::ring_min_cells(side, k_max + 1)).pow(2) <= threshold_sq {
+        while i64::from(grid.ring_min_cells(k_max + 1)).pow(2) <= threshold_sq {
             k_max += 1;
         }
         RestrictIndex {
-            lattice,
-            side,
-            regions_x,
-            regions_y,
-            region_of,
+            grid,
             k_max,
             r,
             slots: Vec::new(),
@@ -216,32 +208,21 @@ impl RestrictIndex {
             buckets,
             stamp,
             candidates,
-            regions_x,
-            regions_y,
-            side,
+            grid,
             k_max,
             ..
         } = self;
         for site in sites {
-            let cx = site.x as u32 / *side;
-            let cy = site.y as u32 / *side;
-            for k in 0..=*k_max {
-                RegionGrid::for_each_ring_region(
-                    *regions_x,
-                    *regions_y,
-                    cx,
-                    cy,
-                    k,
-                    &mut |rx, ry| {
-                        let region = (ry * *regions_x + rx) as usize;
-                        for &id in &buckets[region] {
-                            if stamp[id as usize] != generation {
-                                stamp[id as usize] = generation;
-                                candidates.push(id);
-                            }
+            let rings = grid.rings(f64::from(site.x), f64::from(site.y));
+            for ring in rings.take(*k_max as usize + 1) {
+                ring.for_each_region(|region| {
+                    for &id in &buckets[region] {
+                        if stamp[id as usize] != generation {
+                            stamp[id as usize] = generation;
+                            candidates.push(id);
                         }
-                    },
-                );
+                    }
+                });
             }
         }
     }
@@ -254,17 +235,17 @@ impl RestrictIndex {
         mut apply: impl FnMut(&mut Vec<IntervalId>, IntervalId),
     ) {
         // Gates have ≤ 3 sites; linear dedup over the visited regions.
-        let mut seen = [u32::MAX; 8];
+        let mut seen = [usize::MAX; 8];
         let mut n = 0usize;
         let slot_sites = std::mem::take(&mut self.slots[id as usize].sites);
         for site in &slot_sites {
-            let region = self.region_of[self.lattice.index(*site)];
+            let region = self.grid.region_of(*site);
             if !seen[..n].contains(&region) {
                 if n < seen.len() {
                     seen[n] = region;
                     n += 1;
                 }
-                apply(&mut self.buckets[region as usize], id);
+                apply(&mut self.buckets[region], id);
             }
         }
         self.slots[id as usize].sites = slot_sites;
