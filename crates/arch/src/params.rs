@@ -170,9 +170,9 @@ impl HardwareParams {
     /// Average fidelity of a `CᵐZ`-family gate on `arity` qubits.
     ///
     /// Table 1c only specifies `F_CZ`; larger gates are modeled as
-    /// `F_CZ^(arity − 1)` (see DESIGN.md §4.5 — the choice cancels in the
-    /// paper's δF metric because mapped and original circuits contain the
-    /// same multi-qubit gates).
+    /// `F_CZ^(arity − 1)`. The choice cancels in the paper's δF metric,
+    /// because mapped and original circuits contain the same multi-qubit
+    /// gates.
     #[inline]
     pub fn cz_family_fidelity(&self, arity: usize) -> f64 {
         if arity <= 1 {

@@ -1,12 +1,12 @@
-//! Ablation studies over the mapper's design knobs (DESIGN.md §3,
-//! experiments A1–A3):
+//! Ablation studies over the mapper's design knobs:
 //!
-//! * `lambda`    — decay rate λ_t: SWAP-count vs parallelism trade-off
-//!   (§3.3.1's claim that λ_t tunes hardware-adaptive mapping),
-//! * `lookahead` — lookahead weight w_l of Eq. (2)/(4),
-//! * `alpha`     — decision ratio α = α_g/α_s on mixed hardware (§4.2's
-//!   observation that the optimal α varies per circuit),
-//! * `timeweight`— shuttle parallelism weight w_t of Eq. (4).
+//! * `lambda`    — A1, decay rate λ_t: SWAP-count vs parallelism
+//!   trade-off (§3.3.1's claim that λ_t tunes hardware-adaptive mapping),
+//! * `lookahead` — A2, lookahead weight w_l of Eq. (2)/(4),
+//! * `alpha`     — A3, decision ratio α = α_g/α_s on mixed hardware
+//!   (§4.2's observation that the optimal α varies per circuit),
+//! * `timeweight`— shuttle parallelism weight w_t of Eq. (4),
+//! * `layout`    — A4, initial layout (identity, center-compact, random).
 //!
 //! Usage:
 //!

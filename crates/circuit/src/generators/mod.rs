@@ -7,7 +7,8 @@
 //! * [`GraphState`] — graph-state preparation (`H`⊗ⁿ + one CZ per edge),
 //! * [`Reversible`] — synthetic reversible-function circuits built from
 //!   `CᵐX` gates matching the `bn`, `call`, `gray` gate-count profiles
-//!   (substitute for SyReC-synthesized circuits; see DESIGN.md §4.2),
+//!   (substitute for SyReC-synthesized circuits: the mapper sees only
+//!   gate arities, operands and order, which the profiles keep),
 //! * [`RandomCircuit`] — layered random circuits for tests and fuzzing,
 //! * [`Qaoa`] — QAOA MaxCut ansatz over seeded random graphs,
 //! * [`ghz`] / [`cuccaro_adder`] — structured workloads (nearest-neighbour

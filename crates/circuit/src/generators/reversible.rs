@@ -6,8 +6,9 @@
 //! not available here; this generator produces seeded `CᵐX` networks with
 //! the *exact* gate-count profile of Table 1b and the locality statistics
 //! typical of reversible synthesis: consecutive gates share target lines
-//! and control sets overlap (see DESIGN.md §4.2 for why this preserves the
-//! mapper-relevant structure).
+//! and control sets overlap. That keeps what the mapper sees: it routes on
+//! gate arities, the qubits each gate touches and their order, never on
+//! the Boolean function the network computes.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

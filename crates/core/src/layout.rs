@@ -3,8 +3,8 @@
 //! The paper evaluates with the trivial identity layout
 //! (`q_i ↔ Q_i ↔ C_i`, §4.1) and leaves layout optimization as future
 //! work; this module provides the identity plus two useful alternatives
-//! so the effect of the initial placement can be studied (ablation A4 in
-//! DESIGN.md).
+//! so the effect of the initial placement can be studied (ablation A4,
+//! `cargo run -p na-bench --release --bin ablation -- layout`).
 
 use na_arch::{Lattice, Site};
 use serde::{Deserialize, Serialize};

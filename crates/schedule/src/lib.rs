@@ -45,7 +45,7 @@ pub mod export;
 pub mod items;
 pub mod metrics;
 pub mod monte_carlo;
-pub mod restrict;
+mod restrict;
 pub mod scheduler;
 
 pub use aod_program::{
@@ -54,5 +54,4 @@ pub use aod_program::{
 pub use error::ScheduleError;
 pub use items::{Schedule, ScheduledItem};
 pub use metrics::{ComparisonReport, ScheduleMetrics};
-pub use restrict::RestrictIndex;
 pub use scheduler::{IncrementalScheduler, Scheduler};

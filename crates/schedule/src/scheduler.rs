@@ -229,15 +229,13 @@ impl BatchRun {
 }
 
 /// Reusable working buffers of the streaming scheduler: the flush-wave
-/// accept/defer lists, the incremental target-grid validator state, and
-/// a pool recycling the site vectors of retired restriction intervals.
+/// accept/defer lists and the incremental target-grid validator state.
 /// Capacity only — no semantic state across calls.
 #[derive(Debug, Clone, Default)]
 struct SchedScratch {
     accepted: Vec<BatchedMove>,
     deferred: Vec<BatchedMove>,
     delta: DeltaGrid,
-    site_pool: Vec<Vec<Site>>,
 }
 
 /// A batch spanning more distinct source rows than this accumulates a
@@ -427,15 +425,8 @@ pub struct IncrementalScheduler {
     num_qubits: u32,
     /// Open AOD batches of the current run of consecutive shuttles.
     run: BatchRun,
+    /// Per atom: the time from which the atom is free.
     avail: Vec<f64>,
-    /// Smallest entry of `avail` — maintained incrementally (see
-    /// [`Self::occupy`]), this is the pruning horizon for retired
-    /// restriction intervals.
-    low_water: f64,
-    /// How many atoms are known to sit exactly at `low_water`. May
-    /// undercount (never overcount); a rescan restores it when it hits
-    /// zero.
-    low_count: usize,
     /// Per trap site: the time from which the site is free (∞ while
     /// occupied). Starts from the initial layout. Within a flush wave
     /// this doubles as the occupancy bitmap the AOD validator reads —
@@ -444,8 +435,9 @@ pub struct IncrementalScheduler {
     lattice: Lattice,
     /// Backend AOD constraint set (transaction batch caps).
     aod: AodConstraints,
-    /// Rydberg intervals still relevant for restriction checks, bucketed
-    /// by coarse lattice region so a push only tests nearby intervals.
+    /// Every Rydberg interval so far, bucketed by coarse lattice region
+    /// and ordered by end time, so a push only tests nearby intervals
+    /// that end after its earliest start.
     restrict: RestrictIndex,
     /// Time from which the (single) AOD device is free: there is one
     /// physical deflector grid, so transactions are mutually exclusive
@@ -504,20 +496,11 @@ impl IncrementalScheduler {
             site_free_at[lattice.index(site)] = f64::INFINITY;
         }
         let restrict = RestrictIndex::new(lattice, params.r_restr);
-        // An empty `avail` folds to +∞ — match that so the pruning
-        // horizon is identical to the old per-call fold.
-        let (low_water, low_count) = if num_atoms == 0 {
-            (f64::INFINITY, 0)
-        } else {
-            (0.0, num_atoms as usize)
-        };
         IncrementalScheduler {
             params: params.clone(),
             num_qubits,
             run: BatchRun::new(),
             avail: vec![0.0; num_atoms as usize],
-            low_water,
-            low_count,
             site_free_at,
             lattice,
             aod,
@@ -761,42 +744,10 @@ impl IncrementalScheduler {
     }
 
     fn occupy(&mut self, atoms: &[AtomId], start: f64, dur: f64) {
-        // Maintain the `avail` low-water mark incrementally: an atom's
-        // availability never decreases (`start ≥ avail[a]`), so a write
-        // can only lift an atom off the mark, never drop one below it.
-        // `low_count` may undercount when a minimum atom is rewritten to
-        // the identical value, so a zero count triggers a full rescan —
-        // `low_water` itself is exact at every read.
         for a in atoms {
-            if self.avail[a.index()] <= self.low_water {
-                self.low_count = self.low_count.saturating_sub(1);
-            }
             self.avail[a.index()] = start + dur;
         }
-        if self.low_count == 0 && !self.avail.is_empty() {
-            self.low_water = self.avail.iter().copied().fold(f64::INFINITY, f64::min);
-            self.low_count = self.avail.iter().filter(|&&a| a <= self.low_water).count();
-        }
         self.makespan = self.makespan.max(start + dur);
-    }
-
-    /// Delays `t0` until no active Rydberg interval within `r_restr`
-    /// overlaps `[t0, t0 + dur)`.
-    ///
-    /// ASAP start times are NOT monotone in stream order — a
-    /// later-streamed gate on long-idle atoms may start *earlier* than
-    /// the current one — so intervals stay live until they end at or
-    /// before the `avail` low-water mark (any future start is at least
-    /// the minimum atom availability, which only ever grows; a tighter
-    /// time bound cannot be correct, because a gate on two so-far-idle
-    /// atoms may still legally start at t = 0). The bound is weak while
-    /// any atom stays idle, so on long streams the live set grows with
-    /// the circuit — which is why the index buckets intervals by coarse
-    /// lattice region ([`RestrictIndex`]) and each check only tests
-    /// intervals with a site near the pushed gate, instead of the old
-    /// linear scan over every live interval.
-    fn respect_restriction(&mut self, sites: &[Site], t0: f64, dur: f64) -> f64 {
-        self.restrict.earliest_clear(sites, t0, dur)
     }
 
     fn push_single(&mut self, atom: AtomId, site: Site, dur: f64, op_index: Option<usize>) {
@@ -819,17 +770,9 @@ impl IncrementalScheduler {
         op_index: Option<usize>,
     ) {
         let t0 = self.earliest(&atoms);
-        let start = self.respect_restriction(&sites, t0, dur);
+        let start = self.restrict.earliest_clear(&sites, t0, dur);
         self.occupy(&atoms, start, dur);
-        let mut interval_sites = self.scratch.site_pool.pop().unwrap_or_default();
-        interval_sites.extend_from_slice(&sites);
-        self.restrict.insert(
-            start,
-            start + dur,
-            interval_sites,
-            self.low_water,
-            &mut self.scratch.site_pool,
-        );
+        self.restrict.insert(start, start + dur, &sites);
         self.record(ScheduledItem::Rydberg {
             atoms,
             sites,
@@ -842,17 +785,9 @@ impl IncrementalScheduler {
     fn push_swap(&mut self, atoms: [AtomId; 2], sites: [Site; 2]) {
         let dur = self.params.swap_time_us();
         let t0 = self.earliest(&atoms);
-        let start = self.respect_restriction(&sites, t0, dur);
+        let start = self.restrict.earliest_clear(&sites, t0, dur);
         self.occupy(&atoms, start, dur);
-        let mut interval_sites = self.scratch.site_pool.pop().unwrap_or_default();
-        interval_sites.extend_from_slice(&sites);
-        self.restrict.insert(
-            start,
-            start + dur,
-            interval_sites,
-            self.low_water,
-            &mut self.scratch.site_pool,
-        );
+        self.restrict.insert(start, start + dur, &sites);
         self.record(ScheduledItem::SwapComposite {
             atoms,
             sites,

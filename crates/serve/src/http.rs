@@ -12,9 +12,10 @@
 //! | `GET /healthz`     | liveness probe                                  |
 //!
 //! Status mapping: invalid document → `400` (well-formed error doc in
-//! the body), body over the cap → `413`, queue full or deadline
-//! unmeetable → `429`, shutting down → `503`, deadline exceeded →
-//! `504`, worker panic → `500`, unknown route → `404`. Each connection
+//! the body), body over the cap → `413`, request line and headers over
+//! `MAX_HEAD_BYTES` (64 KiB) → `431`, queue full or deadline unmeetable →
+//! `429`, shutting down → `503`, deadline exceeded → `504`, worker
+//! panic → `500`, unknown route → `404`. Each connection
 //! is served on its own thread so slow compiles don't block the accept
 //! loop; concurrency control lives in the service's queue, not the
 //! transport. Socket read/write timeouts and the body cap are
@@ -28,6 +29,11 @@ use std::time::Duration;
 
 use crate::service::{CompileService, Submission, SubmitError};
 use crate::wire::{error_kind_of, service_error_doc};
+
+/// Largest accepted request head (request line plus headers). Reading
+/// stops at this many bytes, so a header without a newline cannot grow
+/// memory without bound; a longer head is refused with `431`.
+const MAX_HEAD_BYTES: u64 = 64 << 10;
 
 /// Socket-level knobs for an [`HttpServer`].
 #[derive(Debug, Clone)]
@@ -139,6 +145,8 @@ enum ReadError {
     Malformed,
     /// `Content-Length` exceeded the configured body cap.
     TooLarge { length: usize },
+    /// The request line and headers exceeded `MAX_HEAD_BYTES`.
+    HeadTooLarge,
 }
 
 fn handle_connection(stream: TcpStream, service: &CompileService, options: &HttpOptions) {
@@ -163,6 +171,15 @@ fn handle_connection(stream: TcpStream, service: &CompileService, options: &Http
                             "request body of {length} bytes exceeds the {} byte limit",
                             options.max_body_bytes
                         ),
+                        None,
+                    ),
+                ),
+                ReadError::HeadTooLarge => (
+                    431,
+                    "Request Header Fields Too Large",
+                    service_error_doc(
+                        "request",
+                        &format!("request head exceeds the {MAX_HEAD_BYTES} byte limit"),
                         None,
                     ),
                 ),
@@ -224,25 +241,22 @@ fn route(
     }
 }
 
-/// Reads one HTTP/1.1 request: request line, headers, and a
-/// `Content-Length`-framed body.
+/// Reads one HTTP/1.1 request: request line, headers (together at most
+/// `MAX_HEAD_BYTES`), and a `Content-Length`-framed body.
 fn read_request(
     reader: &mut BufReader<TcpStream>,
     max_body_bytes: usize,
 ) -> Result<(String, String, String), ReadError> {
+    let mut head = reader.take(MAX_HEAD_BYTES);
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|_| ReadError::Malformed)?;
+    read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or(ReadError::Malformed)?.to_owned();
     let path = parts.next().ok_or(ReadError::Malformed)?.to_owned();
     let mut content_length = 0usize;
+    let mut header = String::new();
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|_| ReadError::Malformed)?;
+        read_head_line(&mut head, &mut header)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -260,11 +274,25 @@ fn read_request(
         });
     }
     let mut body = vec![0u8; content_length];
-    reader
+    head.into_inner()
         .read_exact(&mut body)
         .map_err(|_| ReadError::Malformed)?;
     let body = String::from_utf8(body).map_err(|_| ReadError::Malformed)?;
     Ok((method, path, body))
+}
+
+/// Reads one line of the request head into `line`. A line that the
+/// head cap cuts off is [`ReadError::HeadTooLarge`].
+fn read_head_line(
+    head: &mut std::io::Take<&mut BufReader<TcpStream>>,
+    line: &mut String,
+) -> Result<(), ReadError> {
+    line.clear();
+    let read = head.read_line(line);
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(ReadError::HeadTooLarge);
+    }
+    read.map(drop).map_err(|_| ReadError::Malformed)
 }
 
 fn write_response(

@@ -1,10 +1,11 @@
 //! End-to-end exercise of the hand-rolled HTTP transport with a raw
 //! `TcpStream` client: submit → compile → cached resubmit → metrics →
-//! liveness → unknown route.
+//! liveness → unknown route, plus an over-long request head.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use na_serve::{CompileService, HttpServer, ServeConfig};
 
@@ -97,6 +98,52 @@ fn http_server_end_to_end() {
     // Unknown route.
     let (status, _, _) = get(addr, "/nope");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
+
+    stop.store(true, Ordering::SeqCst);
+    accept_loop.join().expect("accept loop exits");
+    service.shutdown();
+}
+
+#[test]
+fn over_long_request_head_is_refused_with_431() {
+    let service = CompileService::start(ServeConfig {
+        workers: 1,
+        queue_cap: 8,
+        ..ServeConfig::default()
+    });
+    // Default options: the server's socket read timeout is 30 s.
+    let server = HttpServer::bind(service.clone(), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().expect("bound");
+    let stop = server.stop_handle();
+    let accept_loop = std::thread::spawn(move || server.serve());
+
+    // A 70 KiB header with no newline, on a socket that stays open for
+    // writing: without a head cap the server keeps waiting for the end
+    // of the line.
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client read timeout");
+    let mut request = b"GET /healthz HTTP/1.1\r\nX-Filler: ".to_vec();
+    request.resize(request.len() + (70 << 10), b'a');
+    // The server may answer and close before it has read every byte,
+    // so a failed send is not the test's concern; the reply is.
+    let _ = stream.write_all(&request);
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 4096];
+    // Read until the server closes; a reset after the reply (the
+    // server drops the unread rest of the header) also ends the read.
+    while let Ok(n @ 1..) = stream.read(&mut chunk) {
+        raw.extend_from_slice(&chunk[..n]);
+    }
+    let raw = String::from_utf8(raw).expect("utf-8 reply");
+    assert!(
+        raw.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+        "reply: {raw:?}"
+    );
+    assert!(raw.contains("\"kind\":\"request\""), "reply: {raw:?}");
+    assert!(started.elapsed() < Duration::from_secs(10));
 
     stop.store(true, Ordering::SeqCst);
     accept_loop.join().expect("accept loop exits");
